@@ -1,7 +1,6 @@
 //! Decomposition benchmark and CI regression gate.
 //!
-//! Promotes the previously print-only decomposition medians (see
-//! `microbench.rs`) to a gated baseline: Cholesky and LU solves at the
+//! Gated decomposition medians: Cholesky and LU solves at the
 //! ALS/assessment working sizes, Householder QR and Jacobi SVD at the
 //! committee sizes, each compared against `BENCH_decomp.json`.
 //!
@@ -20,11 +19,11 @@
 //! only when the baseline's probe shows a comparable machine class
 //! (within 0.7–1.4×); otherwise they are skipped with a note.
 
-use criterion::black_box;
 use drcell_bench::{gate, median_us};
 use drcell_linalg::decomp::{Cholesky, Lu, Qr, Svd};
 use drcell_linalg::gemm::{gemm_reference, Trans};
 use drcell_linalg::Matrix;
+use std::hint::black_box;
 
 fn spd(n: usize) -> Matrix {
     let a = Matrix::from_fn(n, n, |r, c| ((r * 31 + c * 17) % 13) as f64 / 13.0 - 0.5);

@@ -21,11 +21,11 @@
 //! machine class (within 0.7–1.4× of this run's naive median); otherwise
 //! it is skipped with a note asking for a re-recorded baseline.
 
-use criterion::black_box;
 use drcell_bench::{gate, loo_working_set, median_us};
 use drcell_core::RunnerConfig;
 use drcell_inference::{BatchedLooEngine, CompressiveSensing, NaiveLooSolver};
 use drcell_quality::{ErrorMetric, QualityAssessor, QualityRequirement};
+use std::hint::black_box;
 
 fn assessor() -> QualityAssessor {
     QualityAssessor::new(

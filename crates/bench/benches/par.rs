@@ -36,7 +36,6 @@
 //!    medians are additionally compared when the baseline's naive median
 //!    shows a comparable machine (within 0.7–1.4×).
 
-use criterion::black_box;
 use drcell_bench::{gate, loo_working_set, median_us};
 use drcell_core::RunnerConfig;
 use drcell_inference::{BatchedLooEngine, CompressiveSensing, NaiveLooSolver};
@@ -44,6 +43,7 @@ use drcell_linalg::gemm::{gemm_into, gemm_into_pool, Pool, Trans};
 use drcell_linalg::Matrix;
 use drcell_pool::hardware_threads;
 use drcell_quality::{ErrorMetric, QualityAssessor, QualityRequirement};
+use std::hint::black_box;
 
 /// Worker count of the pooled measurements (the gate's "at 4 threads").
 const POOL_THREADS: usize = 4;

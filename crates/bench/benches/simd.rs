@@ -43,7 +43,6 @@
 //! and GEMM outputs must equal their scalar counterparts exactly (the
 //! backend contract the `backend_oracle` suite pins element-wise).
 
-use criterion::black_box;
 use drcell_bench::{gate, loo_working_set, median_us};
 use drcell_core::RunnerConfig;
 use drcell_inference::BatchedLooEngine;
@@ -55,6 +54,7 @@ use drcell_quality::{ErrorMetric, QualityAssessor, QualityRequirement};
 use drcell_rl::{DqnAgent, DqnConfig, MlpQNetwork, Transition};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::hint::black_box;
 use std::time::Instant;
 
 const GEMM_GATED: usize = 128;

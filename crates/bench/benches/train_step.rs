@@ -26,13 +26,13 @@
 //! baseline's scalar median shows a comparable runner class (0.7–1.4× of
 //! this run's); otherwise they are skipped with a note.
 
-use criterion::black_box;
 use drcell_bench::{gate, median_us};
 use drcell_linalg::Matrix;
 use drcell_neural::Adam;
 use drcell_rl::{DqnAgent, DqnConfig, DrqnQNetwork, MlpQNetwork, QNetwork, Transition};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::hint::black_box;
 
 const CELLS: usize = 57;
 const HISTORY: usize = 3;

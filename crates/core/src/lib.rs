@@ -58,7 +58,7 @@ pub mod report;
 pub mod transfer;
 
 pub use cost::CostModel;
-pub use drcell_linalg::{backend, BackendChoice, BackendKind};
+pub use drcell_linalg::backend;
 pub use env::{McsEnvConfig, McsEnvironment};
 pub use error::CoreError;
 pub use policies::{

@@ -2,7 +2,6 @@ use drcell_inference::{
     AssessmentBackend, BatchedLooEngine, CompressiveSensing, CompressiveSensingConfig,
     InferenceAlgorithm, NaiveLooSolver, ObservedMatrix,
 };
-use drcell_linalg::{backend, BackendChoice};
 use drcell_quality::{QualityAssessment, QualityAssessor, QualityRequirement};
 use rand::RngCore;
 use std::ops::ControlFlow;
@@ -52,19 +51,6 @@ pub struct RunnerConfig {
     /// Assess quality every `assess_every` selections after the minimum
     /// (1 = after every selection, the paper's loop).
     pub assess_every: usize,
-    /// Worker-pool size for the intra-assessment parallelism (the
-    /// leave-one-out cell fan-out and the ALS/GEMM inner loops): `0` =
-    /// this runner's share of the process thread budget (all cores for a
-    /// single run, the remainder under an outer scenario sweep), `1` =
-    /// strictly serial. Results are bit-identical at any setting — pin `1`
-    /// only to simplify profiling or low-level debugging.
-    pub inner_threads: usize,
-    /// Compute backend for the dense kernels (GEMM, ALS gram updates,
-    /// ReLU fusion): `Auto` (default) resolves `DRCELL_BACKEND` then
-    /// hardware detection; `Scalar`/`Simd` force a backend. Like
-    /// `inner_threads`, this is an execution knob — every backend emits
-    /// bit-identical results, so it never appears in recorded rows.
-    pub compute_backend: BackendChoice,
 }
 
 impl Default for RunnerConfig {
@@ -82,8 +68,6 @@ impl Default for RunnerConfig {
             min_selections_per_cycle: 2,
             max_selections_per_cycle: None,
             assess_every: 1,
-            inner_threads: 0,
-            compute_backend: BackendChoice::default(),
         }
     }
 }
@@ -199,14 +183,8 @@ impl<'a> SparseMcsRunner<'a> {
                 reason: "min_selections_per_cycle must be at least 2 (leave-one-out)".to_owned(),
             });
         }
-        // Resolve the process-wide backend up front so every kernel the
-        // run touches (final inference, assessment, policy networks) sees
-        // one consistent selection.
-        backend::select(config.compute_backend);
-        let final_cs =
-            CompressiveSensing::new(config.inference.clone())?.with_threads(config.inner_threads);
-        let assess_cs = CompressiveSensing::new(config.assessment_inference.clone())?
-            .with_threads(config.inner_threads);
+        let final_cs = CompressiveSensing::new(config.inference.clone())?;
+        let assess_cs = CompressiveSensing::new(config.assessment_inference.clone())?;
         let assessor = QualityAssessor::new(task.requirement(), task.metric());
         Ok(SparseMcsRunner {
             task,
@@ -297,8 +275,7 @@ impl<'a> SparseMcsRunner<'a> {
         let mut batched = match self.config.assessment_backend {
             AssessmentBackend::Batched => Some(
                 BatchedLooEngine::new(self.config.assessment_inference.clone())
-                    .expect("assessment config validated in SparseMcsRunner::new")
-                    .with_threads(self.config.inner_threads),
+                    .expect("assessment config validated in SparseMcsRunner::new"),
             ),
             AssessmentBackend::Naive => None,
         };
@@ -572,12 +549,14 @@ mod tests {
     fn inner_thread_counts_produce_identical_cycle_records() {
         // The pool determinism contract, end to end through the runner:
         // selections, errors and probabilities must be bit-identical
-        // whether the assessment fan-out is serial, pooled, or auto-sized.
+        // whether the auto-sized inner pools get the whole budget or run
+        // serially under an outer reservation that claims every thread.
+        use drcell_pool::budget::{hardware_threads, reserve_outer};
         let task = smooth_task(0.4);
-        let run = |inner: usize| {
+        let run = |outer: usize| {
+            let _claim = reserve_outer(outer);
             let cfg = RunnerConfig {
                 window: 8,
-                inner_threads: inner,
                 ..Default::default()
             };
             let mut rng = StdRng::seed_from_u64(11);
@@ -586,11 +565,9 @@ mod tests {
                 .run(&mut RandomPolicy::new(), &mut rng)
                 .unwrap()
         };
-        let serial = run(1);
-        for inner in [0usize, 2, 4] {
-            let pooled = run(inner);
-            assert_eq!(serial.cycles, pooled.cycles, "inner_threads {inner}");
-        }
+        let pooled = run(1);
+        let serial = run(hardware_threads());
+        assert_eq!(pooled.cycles, serial.cycles);
     }
 
     #[test]

@@ -1,6 +1,5 @@
-//! Pluggable compute backends: runtime-detected SIMD kernels behind a
-//! process-wide selection, with the scalar loops kept as the bit-exact
-//! oracle.
+//! Compute backends: runtime-detected SIMD kernels behind a process-wide
+//! selection, with the scalar loops kept as the bit-exact oracle.
 //!
 //! # Model
 //!
@@ -30,13 +29,14 @@
 //!
 //! # Selection
 //!
-//! The active backend is a process-wide setting resolved in precedence
-//! order: an explicit [`select`] call (CLI `--backend`, spec field) >
-//! the `DRCELL_BACKEND` environment variable (`scalar`/`simd`/`auto`) >
-//! auto-detection. Requesting `simd` on a host without AVX2 falls back
-//! to scalar with a loud stderr note — results are identical either way,
-//! only speed differs. Entry points log [`startup_line`] so CI can
-//! assert which backend actually ran.
+//! The active backend is a process-wide setting, resolved once on first
+//! use from the `DRCELL_BACKEND` environment variable
+//! (`scalar`/`simd`/`auto`), then hardware detection. Requesting `simd`
+//! on a host without AVX2 falls back to scalar with a loud stderr note —
+//! results are identical either way, only speed differs. Tests and
+//! benches force a kernel set with an explicit [`select`] call. Entry
+//! points log [`startup_line`] so CI can assert which backend actually
+//! ran.
 //!
 //! ```
 //! use drcell_linalg::backend::{self, BackendChoice};
@@ -68,8 +68,8 @@ impl BackendKind {
     }
 }
 
-/// A backend *request*, as it appears in specs, CLI flags and
-/// `DRCELL_BACKEND`: resolved to a [`BackendKind`] by [`select`].
+/// A backend *request*, as it appears in `DRCELL_BACKEND` or a [`select`]
+/// call: resolved to a [`BackendKind`] by [`select`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum BackendChoice {
     /// Defer to `DRCELL_BACKEND`, then hardware detection (the default).
@@ -84,7 +84,7 @@ pub enum BackendChoice {
 
 impl BackendChoice {
     /// Parses `"auto"` / `"scalar"` / `"simd"` (case-sensitive, the
-    /// spelling specs and `DRCELL_BACKEND` use).
+    /// spelling `DRCELL_BACKEND` uses).
     pub fn parse(s: &str) -> Option<BackendChoice> {
         match s {
             "auto" => Some(BackendChoice::Auto),
@@ -92,41 +92,6 @@ impl BackendChoice {
             "simd" => Some(BackendChoice::Simd),
             _ => None,
         }
-    }
-
-    /// The canonical spelling accepted by [`BackendChoice::parse`].
-    pub fn as_str(self) -> &'static str {
-        match self {
-            BackendChoice::Auto => "auto",
-            BackendChoice::Scalar => "scalar",
-            BackendChoice::Simd => "simd",
-        }
-    }
-}
-
-impl serde::Serialize for BackendChoice {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Str(self.as_str().to_owned())
-    }
-}
-
-impl serde::Deserialize for BackendChoice {
-    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
-        match value {
-            serde::Value::Str(s) => BackendChoice::parse(s).ok_or_else(|| {
-                serde::Error::expected("\"auto\", \"scalar\" or \"simd\" for BackendChoice", value)
-            }),
-            other => Err(serde::Error::expected(
-                "\"auto\", \"scalar\" or \"simd\" for BackendChoice",
-                other,
-            )),
-        }
-    }
-
-    // Specs written before the compute backend existed keep parsing: an
-    // absent field means auto-detection, exactly what those specs got.
-    fn absent(_field: &str) -> Result<Self, serde::Error> {
-        Ok(BackendChoice::default())
     }
 }
 
@@ -183,11 +148,11 @@ fn resolve_simd() -> BackendKind {
 /// Resolves `choice` and installs it as the process-wide active backend.
 ///
 /// `Auto` defers to `DRCELL_BACKEND`, then to hardware detection (SIMD
-/// when AVX2 is present). An explicit `Scalar`/`Simd` — a CLI flag or a
-/// spec field — overrides the environment. The setting is process-global
-/// because the kernels are bitwise backend-independent: switching can
-/// never change results, only throughput, so the last selection simply
-/// wins (tests flip it freely to compare backends in one process).
+/// when AVX2 is present). An explicit `Scalar`/`Simd` overrides the
+/// environment. The setting is process-global because the kernels are
+/// bitwise backend-independent: switching can never change results, only
+/// throughput, so the last selection simply wins (tests and benches flip
+/// it freely to compare backends in one process).
 pub fn select(choice: BackendChoice) -> BackendKind {
     let kind = match choice {
         BackendChoice::Auto => match env_choice() {
@@ -241,115 +206,18 @@ pub fn startup_line() -> String {
     format!("compute backend: {} ({detail})", kind.name())
 }
 
-/// The backend abstraction future BLAS/GPU implementations slot into:
-/// a named kernel set. The two built-in implementations delegate to the
-/// dispatched kernels in [`crate::kernels`]; hot loops call those free
-/// functions directly (enum dispatch inlines, trait objects do not), so
-/// the trait is the *extension surface*, not the hot path.
-pub trait ComputeBackend: std::fmt::Debug + Send + Sync {
-    /// The kernel set this backend dispatches to.
-    fn kind(&self) -> BackendKind;
-
-    /// Stable lowercase name.
-    fn name(&self) -> &'static str {
-        self.kind().name()
-    }
-
-    /// Human-readable capability description for logs.
-    fn description(&self) -> String;
-
-    /// `C ← α·op(A)·op(B) + β·C` over row-major slices (see
-    /// [`crate::gemm::gemm_slice`]); runs this backend's micro-kernel.
-    #[allow(clippy::too_many_arguments)]
-    fn gemm_slice(
-        &self,
-        alpha: f64,
-        a: &[f64],
-        a_rows: usize,
-        a_cols: usize,
-        ta: crate::gemm::Trans,
-        b: &[f64],
-        b_rows: usize,
-        b_cols: usize,
-        tb: crate::gemm::Trans,
-        beta: f64,
-        c: &mut [f64],
-    ) -> Result<(), crate::LinalgError> {
-        crate::gemm::gemm_slice_with_kind(
-            self.kind(),
-            alpha,
-            a,
-            a_rows,
-            a_cols,
-            ta,
-            b,
-            b_rows,
-            b_cols,
-            tb,
-            beta,
-            c,
-        )
-    }
-
-    /// Accumulates one observation into a gram/right-hand-side pair (see
-    /// [`crate::kernels::gram_rhs_update`]).
-    fn gram_rhs_update(&self, gram: &mut [f64], rhs: &mut [f64], d: f64, vt: &[f64]) {
-        crate::kernels::gram_rhs_update(self.kind(), gram, rhs, d, vt);
-    }
-}
-
-/// The scalar oracle backend.
-#[derive(Debug, Clone, Copy)]
-pub struct ScalarBackend;
-
-impl ComputeBackend for ScalarBackend {
-    fn kind(&self) -> BackendKind {
-        BackendKind::Scalar
-    }
-
-    fn description(&self) -> String {
-        "portable scalar loops (bit-exact oracle)".to_owned()
-    }
-}
-
-/// The runtime-detected x86-64 SIMD backend.
-#[derive(Debug, Clone, Copy)]
-pub struct SimdBackend;
-
-impl ComputeBackend for SimdBackend {
-    fn kind(&self) -> BackendKind {
-        BackendKind::Simd
-    }
-
-    fn description(&self) -> String {
-        match simd_tier() {
-            Some(tier) => format!("{tier} tiles, bitwise-identical to scalar"),
-            None => "unavailable on this host".to_owned(),
-        }
-    }
-}
-
-/// The active backend as a trait object (the extension surface; hot
-/// paths use [`active_kind`] and the [`crate::kernels`] free functions).
-pub fn active() -> &'static dyn ComputeBackend {
-    match active_kind() {
-        BackendKind::Scalar => &ScalarBackend,
-        BackendKind::Simd => &SimdBackend,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn choice_parse_roundtrip() {
-        for c in [
-            BackendChoice::Auto,
-            BackendChoice::Scalar,
-            BackendChoice::Simd,
+        for (s, c) in [
+            ("auto", BackendChoice::Auto),
+            ("scalar", BackendChoice::Scalar),
+            ("simd", BackendChoice::Simd),
         ] {
-            assert_eq!(BackendChoice::parse(c.as_str()), Some(c));
+            assert_eq!(BackendChoice::parse(s), Some(c));
         }
         assert_eq!(BackendChoice::parse("blas"), None);
         assert_eq!(BackendChoice::parse("SIMD"), None, "case-sensitive");
@@ -381,14 +249,5 @@ mod tests {
             BackendKind::Scalar => BackendChoice::Scalar,
             BackendKind::Simd => BackendChoice::Simd,
         });
-    }
-
-    #[test]
-    fn trait_objects_report_their_kind() {
-        assert_eq!(ScalarBackend.name(), "scalar");
-        assert_eq!(SimdBackend.name(), "simd");
-        assert!(ScalarBackend.description().contains("oracle"));
-        let b = active();
-        assert_eq!(b.kind(), active_kind());
     }
 }

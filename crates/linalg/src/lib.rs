@@ -36,6 +36,6 @@ pub mod kernels;
 pub mod solve;
 pub mod vector;
 
-pub use backend::{BackendChoice, BackendKind};
+pub use backend::BackendKind;
 pub use error::LinalgError;
 pub use matrix::Matrix;

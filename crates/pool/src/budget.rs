@@ -6,47 +6,40 @@
 //! Left uncoordinated they would multiply — `outer × inner` threads on
 //! `budget` cores — and oversubscription would erase both speedups.
 //!
-//! The contract here is simple: there is one process-wide budget
-//! (defaulting to the hardware), outer engines **reserve** their worker
-//! count for the duration of a sweep, and every auto-sized inner pool
-//! resolves to the remainder (`budget / outer`, at least 1). So a sweep on
-//! 8 cores with 8 scenario workers runs every inner pool serially, a
-//! single-scenario run gets all 8 cores inside the assessment loop, and
-//! `outer × inner ≤ budget` always holds for auto-sized pools. Explicitly
-//! sized pools (`Pool::new(n)`, `n ≥ 1`) bypass the budget — that is the
-//! escape hatch sharded runs use to partition a machine by hand.
+//! The contract here is simple: there is one process-wide budget (the
+//! hardware threads this process may use), outer engines **reserve** their
+//! worker count for the duration of a sweep, and every auto-sized inner
+//! pool resolves to the remainder (`budget / outer`, at least 1). So a
+//! sweep on 8 cores with 8 scenario workers runs every inner pool
+//! serially, a single-scenario run gets all 8 cores inside the assessment
+//! loop, and `outer × inner ≤ budget` always holds for auto-sized pools.
+//! The budget follows CPU affinity and cgroup quotas, so a machine is
+//! partitioned between processes from outside (`taskset -c 0-3 …`).
+//! Explicitly sized pools (`Pool::new(n)`, `n ≥ 1`) bypass the budget;
+//! engine-level benches and tests use them to pin a size.
 //!
 //! [`SweepEngine`]: https://docs.rs/drcell-scenario
 //! [`Pool`]: crate::Pool
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// Total budget in threads; `0` = one per hardware thread.
-static BUDGET: AtomicUsize = AtomicUsize::new(0);
-
 /// Product of all currently reserved outer worker counts (≥ 1).
 static OUTER: AtomicUsize = AtomicUsize::new(1);
 
 /// Hardware parallelism — the single source of truth for "how many threads
 /// does this machine have" across the workspace (engines must not carry
-/// their own `available_parallelism` fallback logic).
+/// their own `available_parallelism` fallback logic). It counts the
+/// threads this process may run on, honouring CPU affinity and cgroup
+/// quotas.
 pub fn hardware_threads() -> usize {
     std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1)
 }
 
-/// Overrides the process thread budget (`0` restores the hardware default).
-pub fn set_total_budget(threads: usize) {
-    BUDGET.store(threads, Ordering::Relaxed);
-}
-
-/// The effective total budget: the override, or the hardware.
+/// The total thread budget: the hardware threads this process may use.
 pub fn total_budget() -> usize {
-    match BUDGET.load(Ordering::Relaxed) {
-        0 => hardware_threads(),
-        n => n,
-    }
+    hardware_threads()
 }
 
 /// The product of currently reserved outer worker counts (1 when no outer
@@ -92,53 +85,45 @@ mod tests {
     use super::*;
     use std::sync::Mutex;
 
-    /// The budget statics are process-global; tests that touch them take
-    /// this lock so the crate's parallel test runner cannot interleave them.
+    /// The outer claim is process-global; tests that reserve take this
+    /// lock so the crate's parallel test runner cannot interleave them.
     static LOCK: Mutex<()> = Mutex::new(());
 
     #[test]
     fn hardware_is_at_least_one() {
         assert!(hardware_threads() >= 1);
-    }
-
-    #[test]
-    fn budget_override_and_restore() {
-        let _guard = LOCK.lock().unwrap();
-        set_total_budget(12);
-        assert_eq!(total_budget(), 12);
-        set_total_budget(0);
         assert_eq!(total_budget(), hardware_threads());
     }
 
     #[test]
     fn reservation_divides_the_share_and_restores_on_drop() {
         let _guard = LOCK.lock().unwrap();
-        set_total_budget(8);
-        assert_eq!(inner_share(), 8);
+        let budget = total_budget();
+        assert_eq!(outer_claim(), 1);
+        assert_eq!(inner_share(), budget);
         {
             let _outer = reserve_outer(4);
             assert_eq!(outer_claim(), 4);
-            assert_eq!(inner_share(), 2);
+            assert_eq!(inner_share(), (budget / 4).max(1));
             {
                 // Nested reservations multiply.
                 let _inner = reserve_outer(2);
                 assert_eq!(outer_claim(), 8);
-                assert_eq!(inner_share(), 1);
+                assert_eq!(inner_share(), (budget / 8).max(1));
             }
             assert_eq!(outer_claim(), 4);
         }
         assert_eq!(outer_claim(), 1);
-        assert_eq!(inner_share(), 8);
-        set_total_budget(0);
+        assert_eq!(inner_share(), budget);
     }
 
     #[test]
     fn share_never_hits_zero() {
         let _guard = LOCK.lock().unwrap();
-        set_total_budget(2);
-        let _outer = reserve_outer(64);
+        let _outer = reserve_outer(total_budget() * 64);
         assert_eq!(inner_share(), 1);
-        drop(_outer);
-        set_total_budget(0);
+        let _zero = reserve_outer(0);
+        assert_eq!(outer_claim(), total_budget() * 64, "0 reserves as 1");
+        assert_eq!(inner_share(), 1);
     }
 }

@@ -13,16 +13,12 @@
 //! 1. **Typed round trip.** Canonicalisation starts from the typed
 //!    [`ScenarioSpec`], not the raw parse tree. Loading a spec file goes
 //!    through `ScenarioSpec::from_value`, which resolves every absent
-//!    optional field to its default — so by the time a spec reaches
-//!    canonical form, defaulted-vs-explicit and field order are already
+//!    optional field to its default and ignores keys the spec does not
+//!    define — so by the time a spec reaches canonical form,
+//!    defaulted-vs-explicit, field order and unknown keys are already
 //!    erased (map lookups are order-independent, serialisation emits
 //!    struct order).
-//! 2. **Execution-only fields are normalised out.** `runner.inner_threads`
-//!    sizes the intra-scenario worker pool and — by the workspace's pinned
-//!    bit-identical-parallelism invariant — never changes one byte of the
-//!    result rows. It canonicalises to `null`, so the same scenario run
-//!    serial or on eight inner threads shares one cache entry.
-//! 3. **Map keys sort.** Every map in the tree is sorted by key. The typed
+//! 2. **Map keys sort.** Every map in the tree is sorted by key. The typed
 //!    serialiser already emits a fixed order, so this is defence in depth:
 //!    the canonical bytes stay stable even if struct fields are reordered
 //!    in a refactor (the hash then survives the refactor, keeping old disk
@@ -57,35 +53,12 @@ fn sort_maps(value: &mut Value) {
     }
 }
 
-/// Normalises the execution-only runner fields: `runner.inner_threads`
-/// (worker-pool sizing) becomes `null` and `runner.compute` (the compute
-/// backend) becomes `"auto"`. Both are pinned bit-identical-output knobs
-/// — any pool size and any backend emit the same bytes — so the same
-/// scenario run serial/pooled, scalar/SIMD shares one cache entry.
-fn erase_execution_fields(value: &mut Value) {
-    if let Value::Map(entries) = value {
-        if let Some((_, Value::Map(runner_entries))) =
-            entries.iter_mut().find(|(k, _)| k == "runner")
-        {
-            for (k, v) in runner_entries.iter_mut() {
-                if k == "inner_threads" {
-                    *v = Value::Null;
-                } else if k == "compute" {
-                    *v = Value::Str("auto".to_owned());
-                }
-            }
-        }
-    }
-}
-
 impl ScenarioSpec {
     /// The canonical value tree of this spec: defaulted fields
-    /// materialised, execution-only fields normalised out, map keys
-    /// sorted. Two specs with equal canonical values produce byte-identical
+    /// materialised, map keys sorted. Two specs with equal canonical values produce byte-identical
     /// result rows (at equal matrix indices).
     pub fn canonical_value(&self) -> Value {
         let mut v = self.to_value();
-        erase_execution_fields(&mut v);
         sort_maps(&mut v);
         v
     }
@@ -119,36 +92,45 @@ mod tests {
         assert_eq!(keys, sorted);
     }
 
+    /// `spec` reloaded from its serialised tree with one extra
+    /// `runner.<key>` entry — the spelling of specs written when the
+    /// runner section still carried execution-only fields.
+    fn with_legacy_runner_field(spec: &ScenarioSpec, key: &str, value: Value) -> ScenarioSpec {
+        let mut tree = spec.to_value();
+        let Value::Map(entries) = &mut tree else {
+            panic!("a spec serialises to a map");
+        };
+        let Some((_, Value::Map(runner))) = entries.iter_mut().find(|(k, _)| k == "runner") else {
+            panic!("the runner section is a map");
+        };
+        runner.push((key.to_owned(), value));
+        <ScenarioSpec as serde::Deserialize>::from_value(&tree).expect("legacy spec loads")
+    }
+
     #[test]
     fn inner_threads_is_erased() {
-        let mut a = registry::find("synthetic-smooth").expect("built-in");
-        let mut b = a.clone();
-        a.runner.inner_threads = None;
-        b.runner.inner_threads = Some(4);
-        assert_eq!(a.canonical_json(), b.canonical_json());
-        // But it still round-trips through the ordinary (non-canonical)
-        // serde path.
-        let v = b.to_value();
-        let back = <ScenarioSpec as serde::Deserialize>::from_value(&v).unwrap();
-        assert_eq!(back.runner.inner_threads, Some(4));
+        let base = registry::find("synthetic-smooth").expect("built-in");
+        let canon = base.canonical_json();
+        for threads in [1, 4, 8] {
+            let legacy = with_legacy_runner_field(&base, "inner_threads", Value::Int(threads));
+            assert_eq!(legacy.canonical_json(), canon, "inner_threads = {threads}");
+        }
+        let null = with_legacy_runner_field(&base, "inner_threads", Value::Null);
+        assert_eq!(null.canonical_json(), canon);
     }
 
     #[test]
     fn compute_backend_is_erased() {
-        use drcell_core::BackendChoice;
-        let mut a = registry::find("synthetic-smooth").expect("built-in");
-        let mut b = a.clone();
-        a.runner.compute = BackendChoice::Scalar;
-        b.runner.compute = BackendChoice::Simd;
-        assert_eq!(
-            a.canonical_json(),
-            b.canonical_json(),
-            "backend choice must not change the cache key"
-        );
-        // The ordinary serde path still round-trips the field.
-        let v = b.to_value();
-        let back = <ScenarioSpec as serde::Deserialize>::from_value(&v).unwrap();
-        assert_eq!(back.runner.compute, BackendChoice::Simd);
+        let base = registry::find("synthetic-smooth").expect("built-in");
+        let canon = base.canonical_json();
+        for compute in ["auto", "scalar", "simd"] {
+            let legacy = with_legacy_runner_field(&base, "compute", Value::Str(compute.to_owned()));
+            assert_eq!(
+                legacy.canonical_json(),
+                canon,
+                "backend choice {compute} must not change the cache key"
+            );
+        }
     }
 
     #[test]

@@ -17,7 +17,7 @@ use std::fs;
 use std::io::Write;
 use std::path::Path;
 
-use drcell_core::{backend, BackendChoice};
+use drcell_core::backend;
 use serde::Deserialize;
 
 use crate::exec::ScenarioResult;
@@ -36,12 +36,6 @@ pub struct Options {
     pub seed: Option<u64>,
     /// Worker threads (0 = all cores).
     pub threads: usize,
-    /// Per-scenario inner worker-pool size override (`None` = keep the
-    /// spec's setting; scenarios then default to their budget share).
-    pub inner_threads: Option<usize>,
-    /// Compute-backend override (`None` = keep the spec's setting, which
-    /// defaults to auto-detection honouring `DRCELL_BACKEND`).
-    pub backend: Option<BackendChoice>,
     /// JSONL output path.
     pub jsonl: Option<String>,
     /// CSV output path.
@@ -80,20 +74,6 @@ impl Options {
                     opts.threads = v.parse().map_err(|_| {
                         ScenarioError::Invalid(format!("bad --threads value `{v}`"))
                     })?;
-                }
-                "--inner-threads" => {
-                    let v = take("an integer")?;
-                    opts.inner_threads = Some(v.parse().map_err(|_| {
-                        ScenarioError::Invalid(format!("bad --inner-threads value `{v}`"))
-                    })?);
-                }
-                "--backend" => {
-                    let v = take("auto|scalar|simd")?;
-                    opts.backend = Some(BackendChoice::parse(&v).ok_or_else(|| {
-                        ScenarioError::Invalid(format!(
-                            "bad --backend value `{v}` (auto|scalar|simd)"
-                        ))
-                    })?);
                 }
                 "--jsonl" => opts.jsonl = Some(take("a file path")?),
                 "--csv" => opts.csv = Some(take("a file path")?),
@@ -152,9 +132,6 @@ fn write_outputs(opts: &Options, results: &[&ScenarioResult]) -> Result<(), Scen
 /// nonzero instead of silently producing incomplete result files.
 fn execute_and_write(specs: Vec<ScenarioSpec>, opts: &Options) -> Result<(), ScenarioError> {
     let engine = SweepEngine::new(opts.threads);
-    // Resolve the backend up front (the runners re-select the same choice)
-    // so the startup log records what will actually execute.
-    backend::select(specs.first().map(|s| s.runner.compute).unwrap_or_default());
     eprintln!("{}", backend::startup_line());
     eprintln!(
         "running {} scenario(s) on {} worker thread(s) ...",
@@ -234,12 +211,6 @@ pub fn cmd_run(opts: &Options) -> Result<(), ScenarioError> {
     if let Some(seed) = opts.seed {
         spec.seed = seed;
     }
-    if opts.inner_threads.is_some() {
-        spec.runner.inner_threads = opts.inner_threads;
-    }
-    if let Some(b) = opts.backend {
-        spec.runner.compute = b;
-    }
     execute_and_write(vec![spec], opts)
 }
 
@@ -256,16 +227,7 @@ pub fn cmd_sweep(opts: &Options) -> Result<(), ScenarioError> {
     if let Some(seed) = opts.seed {
         sweep.base.seed = seed;
     }
-    if opts.inner_threads.is_some() {
-        sweep.inner_threads = opts.inner_threads;
-    }
-    let mut specs = sweep.expand();
-    if let Some(b) = opts.backend {
-        for spec in &mut specs {
-            spec.runner.compute = b;
-        }
-    }
-    execute_and_write(specs, opts)
+    execute_and_write(sweep.expand(), opts)
 }
 
 /// Entry point used by the binary: dispatches on the subcommand.
@@ -307,19 +269,16 @@ pub fn usage() -> String {
      USAGE:\n\
        drcell-scenario list\n\
        drcell-scenario run   --name <scenario> | --spec file.{toml,json}\n\
-                             [--seed N] [--threads N] [--inner-threads N]\n\
-                             [--backend auto|scalar|simd]\n\
-                             [--jsonl out] [--csv out]\n\
+                             [--seed N] [--threads N] [--jsonl out] [--csv out]\n\
        drcell-scenario sweep [--spec file.{toml,json}] [--seed N] [--threads N]\n\
-                             [--inner-threads N] [--backend auto|scalar|simd]\n\
                              [--jsonl out] [--csv out] [--summary out]\n\
      \n\
-     --threads N parallelises across scenarios; --inner-threads N sizes the\n\
-     worker pool inside each scenario (assessment fan-out, ALS sweeps).\n\
-     Unset, the inner pools take the remaining thread-budget share, so\n\
-     outer x inner never oversubscribes. --backend picks the compute\n\
-     kernels (auto detects SIMD; DRCELL_BACKEND=scalar|simd also works).\n\
-     Results are byte-identical at any combination of all three knobs.\n\
+     --threads N parallelises across scenarios; the worker pools inside each\n\
+     scenario take the remaining share of the CPUs this process may use, so\n\
+     outer x inner never oversubscribes (confine the process with taskset to\n\
+     partition a host). The compute kernels are detected at startup\n\
+     (DRCELL_BACKEND=scalar|simd forces a set). Results are byte-identical\n\
+     at any thread count and on either kernel set.\n\
      \n\
      Without --spec, `sweep` runs the built-in 8-scenario default grid.\n\
      For long-running serving (stream rows over a socket), see the\n\

@@ -53,12 +53,12 @@ impl SweepEngine {
 
     /// The worker count the engine will actually use for `jobs` scenarios.
     ///
-    /// `0` auto-sizes from [`drcell_pool::budget::total_budget`] — by
-    /// default one worker per hardware thread (the budget coordinator and
-    /// this engine share `drcell_pool::hardware_threads` as the single
-    /// source of truth), but a process confined with
-    /// [`drcell_pool::budget::set_total_budget`] keeps its outer sweeps
-    /// inside the budget too, preserving `outer × inner ≤ budget`.
+    /// `0` auto-sizes from [`drcell_pool::budget::total_budget`]: one
+    /// worker per hardware thread the process may use (the budget
+    /// coordinator and this engine share `drcell_pool::hardware_threads`
+    /// as the single source of truth). That count honours CPU affinity and
+    /// cgroup quotas, so a process confined with `taskset` keeps its outer
+    /// sweeps inside its share too, preserving `outer × inner ≤ budget`.
     pub fn effective_threads(&self, jobs: usize) -> usize {
         let requested = if self.threads == 0 {
             drcell_pool::budget::total_budget()
@@ -173,7 +173,6 @@ mod tests {
             ps: Vec::new(),
             seeds: vec![1, 2],
             perturbations: Vec::new(),
-            inner_threads: None,
         }
         .expand()
     }
@@ -237,17 +236,5 @@ mod tests {
         let engine = SweepEngine::new(64);
         assert_eq!(engine.effective_threads(3), 3);
         assert!(SweepEngine::new(0).effective_threads(100) >= 1);
-    }
-
-    #[test]
-    fn auto_worker_count_respects_a_lowered_process_budget() {
-        // `outer × inner ≤ budget` must hold for the outer engine too: a
-        // confined process may not auto-size past its budget. (Test-local
-        // budget mutation; the explicit-threads path above is unaffected.)
-        drcell_pool::budget::set_total_budget(2);
-        let auto = SweepEngine::new(0).effective_threads(100);
-        drcell_pool::budget::set_total_budget(0);
-        assert_eq!(auto, 2);
-        assert_eq!(SweepEngine::new(5).effective_threads(100), 5);
     }
 }

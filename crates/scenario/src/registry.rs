@@ -165,7 +165,6 @@ pub fn default_sweep() -> SweepSpec {
         ps: Vec::new(),
         seeds: vec![1, 2],
         perturbations: Vec::new(),
-        inner_threads: None,
     }
 }
 

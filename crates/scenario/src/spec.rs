@@ -6,7 +6,6 @@
 //! [`SweepSpec`] expands parameter axes over a base scenario into a full
 //! scenario matrix for the engine.
 
-use drcell_core::BackendChoice;
 use drcell_core::{
     CellSelectionPolicy, DrCellPolicy, DrCellTrainer, GreedyErrorPolicy, McsEnvConfig,
     OnlineDrCellConfig, OnlineDrCellPolicy, QbcPolicy, RandomPolicy, RunnerConfig, SensingTask,
@@ -320,7 +319,6 @@ impl PolicySpec {
                         reward_bonus,
                         cost,
                         window: runner.window,
-                        inner_threads: runner.inner_threads.unwrap_or(0),
                         ..McsEnvConfig::default()
                     },
                     ..TrainerConfig::default()
@@ -394,17 +392,6 @@ pub struct RunnerSpec {
     /// absent in a spec file means the default, so pre-existing specs keep
     /// parsing).
     pub backend: AssessmentBackend,
-    /// Worker-pool size for the intra-scenario parallelism (assessment
-    /// fan-out, ALS sweeps): `None`/absent = the scenario's share of the
-    /// process thread budget, `Some(1)` = strictly serial. Results are
-    /// bit-identical at any setting, so pre-existing specs keep both
-    /// parsing and reproducing.
-    pub inner_threads: Option<usize>,
-    /// Compute backend for the dense kernels (`auto`/`scalar`/`simd`;
-    /// absent = `auto`). Execution-only like `inner_threads`: every
-    /// backend emits bit-identical rows, so the canonical form erases it
-    /// and cache keys never depend on it.
-    pub compute: BackendChoice,
 }
 
 impl Default for RunnerSpec {
@@ -415,8 +402,6 @@ impl Default for RunnerSpec {
             max_selections: None,
             assess_every: 1,
             backend: AssessmentBackend::default(),
-            inner_threads: None,
-            compute: BackendChoice::default(),
         }
     }
 }
@@ -430,8 +415,6 @@ impl RunnerSpec {
             max_selections_per_cycle: self.max_selections,
             assess_every: self.assess_every,
             assessment_backend: self.backend,
-            inner_threads: self.inner_threads.unwrap_or(0),
-            compute_backend: self.compute,
             ..RunnerConfig::default()
         }
     }
@@ -516,11 +499,6 @@ pub struct SweepSpec {
     pub seeds: Vec<u64>,
     /// Perturbation-stack axis.
     pub perturbations: Vec<PerturbationStack>,
-    /// Sweep-wide override of every scenario's inner worker-pool size
-    /// (`None`/absent = keep each scenario's own setting). Lets sharded
-    /// runs partition the thread budget explicitly — e.g. two processes on
-    /// one 8-core host each running `--threads 2 --inner-threads 2`.
-    pub inner_threads: Option<usize>,
 }
 
 /// Splits `total` matrix entries into at most `shards` contiguous,
@@ -557,7 +535,6 @@ impl SweepSpec {
             ps: Vec::new(),
             seeds: Vec::new(),
             perturbations: Vec::new(),
-            inner_threads: None,
         }
     }
 
@@ -629,9 +606,6 @@ impl SweepSpec {
                             if let Some(seed) = seed {
                                 spec.seed = *seed;
                                 name.push_str(&format!("/s{seed}"));
-                            }
-                            if self.inner_threads.is_some() {
-                                spec.runner.inner_threads = self.inner_threads;
                             }
                             spec.name = name;
                             out.push(spec);
@@ -746,7 +720,6 @@ mod tests {
             ps: Vec::new(),
             seeds: vec![1, 2],
             perturbations: Vec::new(),
-            inner_threads: None,
         };
         let specs = sweep.expand();
         assert_eq!(specs.len(), 8);
@@ -773,7 +746,6 @@ mod tests {
             ps: Vec::new(),
             seeds: Vec::new(),
             perturbations: Vec::new(),
-            inner_threads: None,
         };
         let names: Vec<String> = sweep.expand().into_iter().map(|s| s.name).collect();
         assert_eq!(names.len(), 3);
@@ -813,7 +785,6 @@ mod tests {
             ps: Vec::new(),
             seeds: vec![1, 2],
             perturbations: Vec::new(),
-            inner_threads: None,
         };
         let full = sweep.expand();
         assert_eq!(sweep.matrix_len(), full.len());
@@ -910,7 +881,6 @@ mod tests {
                 PerturbationStack::none(),
                 PerturbationStack::new(vec![Perturbation::SensorDropout { rate: 0.2 }]),
             ],
-            inner_threads: Some(2),
         };
         let v = sweep.to_value();
         assert_eq!(SweepSpec::from_value(&v).unwrap(), sweep);

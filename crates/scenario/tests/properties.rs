@@ -50,7 +50,6 @@ fn eight_scenarios(seed: u64) -> Vec<ScenarioSpec> {
         ps: Vec::new(),
         seeds: vec![seed, seed + 1],
         perturbations: Vec::new(),
-        inner_threads: None,
     }
     .expand()
 }
@@ -98,7 +97,6 @@ fn perturbed_sweeps_are_also_thread_count_invariant() {
         ps: Vec::new(),
         seeds: vec![1, 2],
         perturbations: Vec::new(),
-        inner_threads: None,
     }
     .expand();
     let serial = jsonl_of(&SweepEngine::new(1).run(&specs));
@@ -143,7 +141,6 @@ field = { anchors = 6, length_scale = 120.0, ar_coeff = 0.95, spatial_std = 1.0,
         ps: Vec::new(),
         seeds: vec![41, 42],
         perturbations: Vec::new(),
-        inner_threads: None,
     };
     assert_eq!(sweep, expected);
 }
@@ -162,7 +159,6 @@ fn json_round_trip_of_sweep_spec() {
             amplitude: 1.5,
             radius_fraction: 0.4,
         }])],
-        inner_threads: Some(3),
     };
     let text = json::to_json(&sweep.to_value());
     let back = SweepSpec::from_value(&json::parse_json(&text).unwrap()).unwrap();
@@ -213,8 +209,7 @@ proptest! {
             ps: Vec::new(),
             seeds: (0..n_seeds as u64).collect(),
             perturbations: Vec::new(),
-            inner_threads: None,
-        };
+            };
         prop_assert_eq!(sweep.expand().len(), n_eps * n_seeds);
     }
 }

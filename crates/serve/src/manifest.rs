@@ -50,8 +50,8 @@ pub struct CompletedShard {
 
 /// Content hash identifying a sweep: SHA-256 over the
 /// [`scenario_key`] of every expanded matrix cell, in matrix order.
-/// Canonicalisation (defaults materialised, execution-sizing knobs
-/// erased) is inherited from the per-scenario keys, so two spellings of
+/// Canonicalisation (defaults materialised, unknown keys dropped, maps
+/// sorted) is inherited from the per-scenario keys, so two spellings of
 /// the same sweep resume each other's manifests.
 pub fn sweep_key(spec: &SweepSpec) -> String {
     let mut h = Sha256::new();

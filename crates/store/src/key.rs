@@ -40,9 +40,19 @@ mod tests {
 
     #[test]
     fn key_ignores_inner_threads_but_not_seed() {
+        use serde::{Deserialize, Serialize, Value};
         let base = registry::find("synthetic-smooth").expect("built-in");
-        let mut threaded = base.clone();
-        threaded.runner.inner_threads = Some(8);
+        // A spec written when the runner section still carried
+        // `inner_threads` loads and hashes like the spelling without it.
+        let mut tree = base.to_value();
+        let Value::Map(entries) = &mut tree else {
+            panic!("a spec serialises to a map");
+        };
+        let Some((_, Value::Map(runner))) = entries.iter_mut().find(|(k, _)| k == "runner") else {
+            panic!("the runner section is a map");
+        };
+        runner.push(("inner_threads".to_owned(), Value::Int(8)));
+        let threaded = ScenarioSpec::from_value(&tree).expect("legacy spec loads");
         assert_eq!(scenario_key(&base, 0), scenario_key(&threaded, 0));
         let mut reseeded = base.clone();
         reseeded.seed ^= 1;

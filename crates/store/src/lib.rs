@@ -10,7 +10,7 @@
 //! into bookkeeping:
 //!
 //! - [`key::scenario_key`] hashes the canonical spec form (defaults
-//!   materialised, maps sorted, execution-sizing knobs erased — see
+//!   materialised, unknown keys dropped, maps sorted — see
 //!   [`drcell_scenario::canon`]) with [`sha256`], so TOML and JSON specs,
 //!   reordered fields, and defaulted-vs-explicit fields all converge on
 //!   one key.

@@ -70,9 +70,8 @@ fn reverse_maps(value: &mut Value) {
 }
 
 /// Recursively drops every `null` map entry — the "omit defaulted
-/// optional fields" spelling of the same spec (`max_selections`,
-/// `inner_threads`, … serialise as `null` and deserialise absent to
-/// `None`).
+/// optional fields" spelling of the same spec (`max_selections`, …
+/// serialise as `null` and deserialise absent to `None`).
 fn strip_nulls(value: &mut Value) {
     match value {
         Value::Map(entries) => {
@@ -92,7 +91,7 @@ fn strip_nulls(value: &mut Value) {
 
 /// The same scenario as `tiny_base(seed)` (with the given ε), spelled as
 /// a TOML file that *omits* every defaulted optional field (`backend`,
-/// `max_selections`, `inner_threads`) and orders sections its own way.
+/// `max_selections`) and orders sections its own way.
 fn toml_spelling(seed: u64, epsilon: f64) -> String {
     format!(
         r#"
@@ -145,15 +144,29 @@ proptest! {
         prop_assert_eq!(scenario_key(&reparsed, 0), scenario_key(&explicit, 0));
     }
 
-    /// `inner_threads` sizes the worker pool, never the result bytes
-    /// (bit-identical parallelism is CI-pinned) — so it must not split
-    /// the cache entry.
+    /// Specs written when the runner section still carried the
+    /// execution-only `inner_threads` and `compute` fields keep loading,
+    /// and hash exactly like the spelling without them: how a scenario
+    /// executes is the process's business and never splits an entry.
     #[test]
-    fn execution_sizing_never_splits_an_entry(seed in any::<u64>(), threads in 1usize..9) {
-        let base = tiny_base(seed);
-        let mut sized = base.clone();
-        sized.runner.inner_threads = Some(threads);
-        prop_assert_eq!(scenario_key(&sized, 0), scenario_key(&base, 0));
+    fn execution_sizing_never_splits_an_entry(
+        seed in any::<u64>(),
+        threads in 1i64..9,
+        compute in 0usize..3,
+    ) {
+        let compute = ["auto", "scalar", "simd"][compute];
+        let spec = tiny_base(seed);
+        let mut legacy = spec.to_value();
+        let Value::Map(entries) = &mut legacy else {
+            panic!("a spec serialises to a map");
+        };
+        let Some((_, Value::Map(runner))) = entries.iter_mut().find(|(k, _)| k == "runner") else {
+            panic!("the runner section is a map");
+        };
+        runner.push(("inner_threads".to_owned(), Value::Int(threads)));
+        runner.push(("compute".to_owned(), Value::Str(compute.to_owned())));
+        let loaded = ScenarioSpec::from_value(&legacy).expect("legacy spec loads");
+        prop_assert_eq!(scenario_key(&loaded, 0), scenario_key(&spec, 0));
     }
 
     /// A spec written as TOML and the same spec written as JSON converge

@@ -47,7 +47,6 @@ fn sweep_spec() -> SweepSpec {
         ps: Vec::new(),
         seeds: Vec::new(),
         perturbations: Vec::new(),
-        inner_threads: None,
     }
 }
 
@@ -148,20 +147,18 @@ fn sweep_job_matches_sweep_engine_jsonl_byte_for_byte() {
 
 #[test]
 fn served_rows_identical_under_forced_scalar_and_simd_backends() {
-    // Invariant 9 at the serving layer: forcing the compute backend in
-    // the submitted spec (an execution-only knob) must not change one
-    // byte of the served stream — and both forced runs must equal the
-    // engine reference. Without AVX2 the simd leg falls back to scalar.
-    use drcell::core::BackendChoice;
+    // Invariant 9 at the serving layer: forcing the process's compute
+    // kernels must not change one byte of the served stream. Without AVX2
+    // the simd leg falls back to scalar.
+    use drcell::core::backend::{self, BackendChoice};
     let rows_with = |choice: BackendChoice| {
-        let mut sweep = sweep_spec();
-        sweep.base.runner.compute = choice;
+        backend::select(choice);
         let server = Server::bind("127.0.0.1:0", 2).expect("bind");
         let addr = server.local_addr().expect("addr");
         let daemon = std::thread::spawn(move || server.run());
         let mut client = Client::connect(addr).expect("connect");
         let output = client
-            .sweep(&sweep)
+            .sweep(&sweep_spec())
             .expect("submit sweep")
             .collect()
             .expect("stream");
@@ -172,5 +169,6 @@ fn served_rows_identical_under_forced_scalar_and_simd_backends() {
     };
     let scalar = rows_with(BackendChoice::Scalar);
     let simd = rows_with(BackendChoice::Simd);
+    backend::select(BackendChoice::Auto);
     assert_eq!(scalar, simd, "served rows depend on the compute backend");
 }
