@@ -54,20 +54,6 @@ impl QbcPolicy {
         ])?;
         Ok(QbcPolicy { committee, window })
     }
-
-    /// Creates a QBC policy with a custom committee.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::InvalidConfig`] for a zero window.
-    pub fn with_committee(committee: Committee, window: usize) -> Result<Self, CoreError> {
-        if window == 0 {
-            return Err(CoreError::InvalidConfig {
-                reason: "window must be positive".to_owned(),
-            });
-        }
-        Ok(QbcPolicy { committee, window })
-    }
 }
 
 impl CellSelectionPolicy for QbcPolicy {

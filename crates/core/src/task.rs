@@ -129,33 +129,6 @@ impl SensingTask {
             ..self.clone()
         }
     }
-
-    /// Shrinks the task to the first `cycles` cycles with a proportional
-    /// training split — used by tests and scaled-down experiments.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::InvalidTask`] if `cycles` exceeds the task or
-    /// the implied split is degenerate.
-    pub fn truncated(&self, cycles: usize, train_cycles: usize) -> Result<SensingTask, CoreError> {
-        if cycles > self.truth.cycles() {
-            return Err(CoreError::InvalidTask {
-                reason: format!(
-                    "cannot truncate to {} cycles, task has {}",
-                    cycles,
-                    self.truth.cycles()
-                ),
-            });
-        }
-        SensingTask::new(
-            &self.name,
-            self.truth.cycle_window(0, cycles),
-            self.grid.clone(),
-            self.metric,
-            self.requirement,
-            train_cycles,
-        )
-    }
 }
 
 #[cfg(test)]
@@ -240,15 +213,5 @@ mod tests {
         assert_eq!(t95.requirement().p, 0.95);
         assert_eq!(t95.cells(), t.cells());
         assert_eq!(t95.name(), t.name());
-    }
-
-    #[test]
-    fn truncated_respects_bounds() {
-        let t = task();
-        let small = t.truncated(6, 2).unwrap();
-        assert_eq!(small.cycles(), 6);
-        assert_eq!(small.train_cycles(), 2);
-        assert!(t.truncated(20, 2).is_err());
-        assert!(t.truncated(4, 4).is_err());
     }
 }

@@ -1,6 +1,6 @@
 //! Property-based tests of the DR-Cell core invariants.
 
-use drcell_core::report::{AssessorCalibration, SelectionProfile};
+use drcell_core::report::SelectionProfile;
 use drcell_core::{selection_history, CostModel, CycleRecord, RunReport};
 use drcell_inference::ObservedMatrix;
 use drcell_quality::QualityRequirement;
@@ -112,11 +112,6 @@ proptest! {
         // Profile counts sum to total selections.
         let profile = SelectionProfile::from_report(&report, cells);
         prop_assert_eq!(profile.counts().iter().sum::<usize>(), total);
-        prop_assert!((0.0..=1.0 + 1e-12).contains(&profile.spread()));
-
-        // Calibration lives in [−1, 1].
-        let cal = AssessorCalibration::from_report(&report).unwrap();
-        prop_assert!(cal.conservatism().abs() <= 1.0 + 1e-12);
 
         // Re-pricing with uniform cost 1 equals the selection count.
         let bill = CostModel::uniform(cells, 1.0).unwrap();

@@ -15,6 +15,9 @@
 //! * **cross-signal correlation** between temperature and humidity (what
 //!   transfer learning exploits).
 //!
+//! Every dataset is generated in process from a seed; the crate reads no
+//! trace files.
+//!
 //! ```
 //! use drcell_datasets::{SensorScopeConfig, SensorScopeDataset};
 //!
@@ -33,8 +36,6 @@ mod perturb;
 mod sensorscope;
 mod summary;
 mod uair;
-
-pub mod trace;
 
 pub use aqi::AqiCategory;
 pub use data_matrix::DataMatrix;

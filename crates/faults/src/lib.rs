@@ -236,12 +236,6 @@ pub fn configure(name: &str, spec: &str) -> Result<(), String> {
     Ok(())
 }
 
-/// Remove one failpoint's schedule (its sites stop observing faults).
-pub fn remove(name: &str) {
-    let mut r = registry().lock().unwrap_or_else(|p| p.into_inner());
-    r.points.remove(name);
-}
-
 /// Remove every schedule. Hit counters are discarded too.
 pub fn clear() {
     let mut r = registry().lock().unwrap_or_else(|p| p.into_inner());

@@ -69,11 +69,6 @@ impl Committee {
         self.members.is_empty()
     }
 
-    /// Member names in order.
-    pub fn member_names(&self) -> Vec<&'static str> {
-        self.members.iter().map(|m| m.name()).collect()
-    }
-
     /// Runs every member on `obs` and returns all completions.
     ///
     /// # Errors

@@ -1,16 +1,17 @@
 //! # drcell-inference — data inference for Sparse MCS
 //!
 //! In Sparse MCS only a few cells are sensed per cycle; the rest are
-//! *inferred*. This crate implements the inference algorithms the DR-Cell
-//! paper relies on:
+//! *inferred*. The DR-Cell loop completes with one algorithm; the QBC
+//! baseline adds the interpolators its committee votes with:
 //!
 //! * [`CompressiveSensing`] — low-rank matrix completion via alternating
 //!   least squares, "the de facto choice of the inference algorithm" in
 //!   Sparse MCS (paper §3, Definition 5; Candès & Recht 2009, Donoho 2006),
 //! * [`KnnInference`] — spatial K-nearest-neighbour / inverse-distance
 //!   interpolation (a QBC committee member, per Wang et al. SPACE-TA),
-//! * [`TemporalInference`] — per-cell temporal interpolation,
-//! * [`GlobalMeanInference`] — trivial baseline,
+//! * [`TemporalInference`] — per-cell temporal interpolation (a QBC
+//!   committee member),
+//! * [`GlobalMeanInference`] — the trivial baseline,
 //! * [`Committee`] — a query-by-committee ensemble that measures per-cell
 //!   disagreement, the selection criterion of the QBC baseline (paper §5.2).
 //!
@@ -60,7 +61,6 @@ mod error;
 mod knn;
 mod loo;
 mod observed;
-mod svt;
 mod temporal;
 
 pub use committee::Committee;
@@ -69,7 +69,6 @@ pub use error::InferenceError;
 pub use knn::KnnInference;
 pub use loo::{AssessmentBackend, BatchedLooEngine, EngineStats, LooSolver, NaiveLooSolver};
 pub use observed::ObservedMatrix;
-pub use svt::{SvtConfig, SvtInference};
 pub use temporal::{GlobalMeanInference, TemporalInference};
 
 use drcell_datasets::DataMatrix;

@@ -266,20 +266,10 @@ impl BatchedLooEngine {
         self.stats
     }
 
-    /// Borrows the configuration.
-    pub fn config(&self) -> &CompressiveSensingConfig {
-        self.cs.config()
-    }
-
     /// Drops any warm factors; the next call cold-starts like the naive
     /// path.
     pub fn reset(&mut self) {
         self.warm = None;
-    }
-
-    /// `true` while warm factors from a previous call are available.
-    pub fn is_warm(&self) -> bool {
-        self.warm.is_some()
     }
 
     /// Solves the full (nothing-left-out) problem, warm-starting from the
@@ -673,13 +663,13 @@ mod tests {
         let sensed = obs.observed_cells_at(9);
         let mut engine = BatchedLooEngine::new(tight()).unwrap();
         let cold = engine.loo_predictions(&obs, 9, &sensed).unwrap();
-        assert!(engine.is_warm());
+        assert!(engine.warm.is_some());
         let warm = engine.loo_predictions(&obs, 9, &sensed).unwrap();
         for (a, b) in cold.iter().zip(&warm) {
             assert!((a - b).abs() < 1e-9, "cold {a} vs warm {b}");
         }
         engine.reset();
-        assert!(!engine.is_warm());
+        assert!(engine.warm.is_none());
     }
 
     #[test]

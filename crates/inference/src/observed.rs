@@ -176,26 +176,6 @@ impl ObservedMatrix {
             None => fill(i, t),
         })
     }
-
-    /// Restricts to the trailing window of `w` cycles (the completion
-    /// window the online runner feeds to inference).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `w > self.cycles()`.
-    pub fn trailing_window(&self, w: usize) -> ObservedMatrix {
-        assert!(w <= self.cycles, "window larger than matrix");
-        let from = self.cycles - w;
-        let mut out = ObservedMatrix::new(self.cells, w);
-        for i in 0..self.cells {
-            for t in 0..w {
-                if let Some(v) = self.get(i, from + t) {
-                    out.observe(i, t, v);
-                }
-            }
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -282,16 +262,5 @@ mod tests {
         let d = o.fill_with(|_, _| -1.0);
         assert_eq!(d.value(0, 0), 9.0);
         assert_eq!(d.value(1, 1), -1.0);
-    }
-
-    #[test]
-    fn trailing_window_shifts_indices() {
-        let mut o = ObservedMatrix::new(2, 5);
-        o.observe(1, 4, 8.0);
-        o.observe(0, 1, 3.0);
-        let w = o.trailing_window(2);
-        assert_eq!(w.cycles(), 2);
-        assert_eq!(w.get(1, 1), Some(8.0));
-        assert_eq!(w.observed_count(), 1); // (0,1) fell outside the window
     }
 }

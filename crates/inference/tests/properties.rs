@@ -106,18 +106,6 @@ proptest! {
             }
         }
     }
-
-    #[test]
-    fn trailing_window_preserves_recent_observations((_, obs) in observed_case()) {
-        let w = (obs.cycles() / 2).max(1);
-        let win = obs.trailing_window(w);
-        let from = obs.cycles() - w;
-        for i in 0..obs.cells() {
-            for t in 0..w {
-                prop_assert_eq!(win.get(i, t), obs.get(i, from + t));
-            }
-        }
-    }
 }
 
 // ------------------------------------------------------- batched LOO engine

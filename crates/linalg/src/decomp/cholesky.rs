@@ -108,11 +108,6 @@ impl Cholesky {
         }
         Ok(y)
     }
-
-    /// Log-determinant of `A` (numerically stable for SPD matrices).
-    pub fn ln_det(&self) -> f64 {
-        (0..self.dim()).map(|i| self.l[(i, i)].ln()).sum::<f64>() * 2.0
-    }
 }
 
 #[cfg(test)]
@@ -166,14 +161,6 @@ mod tests {
     }
 
     #[test]
-    fn ln_det_matches_lu_det() {
-        let a = spd3();
-        let ld = Cholesky::new(&a).unwrap().ln_det();
-        let d = crate::decomp::Lu::new(&a).unwrap().det();
-        assert!((ld - d.ln()).abs() < 1e-10);
-    }
-
-    #[test]
     fn non_square_rejected() {
         assert!(Cholesky::new(&Matrix::zeros(2, 3)).is_err());
     }
@@ -182,7 +169,6 @@ mod tests {
     fn identity_factors_to_identity() {
         let ch = Cholesky::new(&Matrix::identity(4)).unwrap();
         assert!(ch.l().approx_eq(&Matrix::identity(4), 0.0));
-        assert_eq!(ch.ln_det(), 0.0);
     }
 
     #[test]

@@ -19,8 +19,6 @@ pub struct Lu {
     lu: Matrix,
     /// Row permutation: `perm[i]` is the original row now in position `i`.
     perm: Vec<usize>,
-    /// Sign of the permutation, used by `det`.
-    sign: f64,
 }
 
 const PIVOT_TOL: f64 = 1e-12;
@@ -44,7 +42,6 @@ impl Lu {
         let n = a.rows();
         let mut lu = a.clone();
         let mut perm: Vec<usize> = (0..n).collect();
-        let mut sign = 1.0;
 
         for k in 0..n {
             // Partial pivoting: bring the largest |entry| in column k to row k.
@@ -67,7 +64,6 @@ impl Lu {
                     lu[(p, c)] = tmp;
                 }
                 perm.swap(k, p);
-                sign = -sign;
             }
             let pivot = lu[(k, k)];
             for r in (k + 1)..n {
@@ -79,7 +75,7 @@ impl Lu {
                 }
             }
         }
-        Ok(Lu { lu, perm, sign })
+        Ok(Lu { lu, perm })
     }
 
     /// Dimension of the factorised matrix.
@@ -139,15 +135,6 @@ impl Lu {
         Ok(out)
     }
 
-    /// Determinant of the factorised matrix.
-    pub fn det(&self) -> f64 {
-        let mut d = self.sign;
-        for i in 0..self.dim() {
-            d *= self.lu[(i, i)];
-        }
-        d
-    }
-
     /// Inverse of the factorised matrix.
     ///
     /// # Errors
@@ -185,19 +172,6 @@ mod tests {
     }
 
     #[test]
-    fn det_of_known_matrix() {
-        let a = Matrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0]]).unwrap();
-        let lu = Lu::new(&a).unwrap();
-        assert!((lu.det() + 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn det_of_identity_is_one() {
-        let lu = Lu::new(&Matrix::identity(5)).unwrap();
-        assert!((lu.det() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn inverse_times_matrix_is_identity() {
         let a = spd3();
         let inv = Lu::new(&a).unwrap().inverse().unwrap();
@@ -223,7 +197,6 @@ mod tests {
         let x = lu.solve(&[2.0, 3.0]).unwrap();
         assert!((x[0] - 3.0).abs() < 1e-12);
         assert!((x[1] - 2.0).abs() < 1e-12);
-        assert!((lu.det() + 1.0).abs() < 1e-12);
     }
 
     #[test]

@@ -108,41 +108,6 @@ impl Svd {
     pub fn vt(&self) -> &Matrix {
         &self.vt
     }
-
-    /// Number of singular values larger than `tol`.
-    pub fn rank(&self, tol: f64) -> usize {
-        self.singular_values.iter().filter(|&&s| s > tol).count()
-    }
-
-    /// Reconstructs the best rank-`r` approximation `U_r·Σ_r·Vᵀ_r`.
-    ///
-    /// `r` is clamped to the number of singular values.
-    pub fn low_rank_approx(&self, r: usize) -> Matrix {
-        let r = r.min(self.singular_values.len());
-        let m = self.u.rows();
-        let n = self.vt.cols();
-        let mut out = Matrix::zeros(m, n);
-        for j in 0..r {
-            let s = self.singular_values[j];
-            let uj = self.u.col(j);
-            let vj = self.vt.row(j);
-            for (row, &uv) in uj.iter().enumerate() {
-                if uv == 0.0 {
-                    continue;
-                }
-                for (col, &vv) in vj.iter().enumerate() {
-                    out[(row, col)] += s * uv * vv;
-                }
-            }
-        }
-        out
-    }
-
-    /// Nuclear norm (sum of singular values) — the convex low-rank surrogate
-    /// at the heart of compressive sensing [Candès & Recht 2009].
-    pub fn nuclear_norm(&self) -> f64 {
-        self.singular_values.iter().sum()
-    }
 }
 
 #[cfg(test)]
@@ -198,25 +163,9 @@ mod tests {
         let a = u.matmul(&v).unwrap();
         let svd = Svd::new(&a).unwrap();
         // Tolerance accounts for sqrt amplification of the Jacobi residual.
-        assert_eq!(svd.rank(1e-6 * svd.singular_values()[0]), 1);
-    }
-
-    #[test]
-    fn low_rank_approx_is_exact_at_full_rank() {
-        let a = rect();
-        let svd = Svd::new(&a).unwrap();
-        assert!(svd.low_rank_approx(2).approx_eq(&a, 1e-9));
-        // r beyond k is clamped.
-        assert!(svd.low_rank_approx(10).approx_eq(&a, 1e-9));
-    }
-
-    #[test]
-    fn rank1_truncation_error_is_second_singular_value() {
-        let a = rect();
-        let svd = Svd::new(&a).unwrap();
-        let approx = svd.low_rank_approx(1);
-        let err = (&a - &approx).fro_norm();
-        assert!((err - svd.singular_values()[1]).abs() < 1e-9);
+        let sv = svd.singular_values();
+        let tol = 1e-6 * sv[0];
+        assert_eq!(sv.iter().filter(|&&s| s > tol).count(), 1);
     }
 
     #[test]
@@ -226,12 +175,6 @@ mod tests {
         assert!(utu.approx_eq(&Matrix::identity(2), 1e-9));
         let vvt = svd.vt().matmul(&svd.vt().transpose()).unwrap();
         assert!(vvt.approx_eq(&Matrix::identity(2), 1e-9));
-    }
-
-    #[test]
-    fn nuclear_norm_positive() {
-        let svd = Svd::new(&rect()).unwrap();
-        assert!(svd.nuclear_norm() > 0.0);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! # drcell-linalg — dense linear algebra substrate
 //!
 //! Self-contained dense linear algebra used throughout the DR-Cell
-//! reproduction: the [`Matrix`] type, BLAS-1 style vector helpers, and the
+//! reproduction: the [`Matrix`] type, a few slice helpers, and the
 //! decompositions needed by the compressive-sensing inference engine and the
 //! neural-network substrate (LU, Cholesky, Householder QR, Jacobi
 //! eigendecomposition and SVD).

@@ -3,7 +3,7 @@
 //! Convenience wrappers over the decompositions in [`crate::decomp`] for the
 //! common "factor once, solve once" pattern.
 
-use crate::decomp::{Cholesky, Lu, Qr};
+use crate::decomp::{Cholesky, Lu};
 use crate::{LinalgError, Matrix};
 
 /// Solves the square system `A·x = b` via LU with partial pivoting.
@@ -108,16 +108,6 @@ pub fn solve_spd_in_place(a: &mut Matrix, b: &mut [f64]) -> Result<(), LinalgErr
     Ok(())
 }
 
-/// Solves the least-squares problem `min ‖A·x − b‖₂` via Householder QR.
-///
-/// # Errors
-///
-/// Propagates [`LinalgError::Singular`] for rank-deficient `A` and shape
-/// errors.
-pub fn lstsq(a: &Matrix, b: &[f64]) -> Result<Vec<f64>, LinalgError> {
-    Qr::new(a)?.solve_least_squares(b)
-}
-
 /// Solves the ridge-regularised least squares `min ‖A·x − b‖² + λ‖x‖²`
 /// through the SPD normal equations `(AᵀA + λI)·x = Aᵀb`.
 ///
@@ -207,17 +197,6 @@ mod tests {
     }
 
     #[test]
-    fn lstsq_fits_line() {
-        // y = 2 + 3 t sampled at t = 0..4 with no noise.
-        let t: Vec<f64> = (0..5).map(|i| i as f64).collect();
-        let a = Matrix::from_fn(5, 2, |r, c| if c == 0 { 1.0 } else { t[r] });
-        let y: Vec<f64> = t.iter().map(|&ti| 2.0 + 3.0 * ti).collect();
-        let coef = lstsq(&a, &y).unwrap();
-        assert!((coef[0] - 2.0).abs() < 1e-10);
-        assert!((coef[1] - 3.0).abs() < 1e-10);
-    }
-
-    #[test]
     fn ridge_shrinks_towards_zero() {
         let a = Matrix::identity(2);
         let b = [2.0, 2.0];
@@ -235,7 +214,8 @@ mod tests {
         // Rank-1 design matrix: plain least squares would fail, ridge succeeds.
         let a = Matrix::from_rows(&[vec![1.0, 1.0], vec![2.0, 2.0], vec![3.0, 3.0]]).unwrap();
         let b = [1.0, 2.0, 3.0];
-        assert!(lstsq(&a, &b).is_err());
+        let qr = crate::decomp::Qr::new(&a);
+        assert!(qr.and_then(|qr| qr.solve_least_squares(&b)).is_err());
         let x = ridge(&a, &b, 1e-6).unwrap();
         // Symmetric problem: both coefficients equal.
         assert!((x[0] - x[1]).abs() < 1e-8);

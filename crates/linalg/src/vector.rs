@@ -1,7 +1,8 @@
 //! BLAS-1 style helpers on `&[f64]` slices.
 //!
 //! These free functions avoid pulling the full [`crate::Matrix`] machinery
-//! into hot inner loops (neural-network forward passes, replay sampling).
+//! into hot inner loops; `argmax` is the tie-stable selection the greedy and
+//! QBC policies use.
 
 /// Dot product of two equal-length slices.
 ///
@@ -27,21 +28,6 @@ pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
     for (yi, xi) in y.iter_mut().zip(x) {
         *yi += alpha * xi;
     }
-}
-
-/// Euclidean norm.
-pub fn norm2(a: &[f64]) -> f64 {
-    dot(a, a).sqrt()
-}
-
-/// L1 norm (sum of absolute values).
-pub fn norm1(a: &[f64]) -> f64 {
-    a.iter().map(|v| v.abs()).sum()
-}
-
-/// Infinity norm (largest absolute value); `0.0` for an empty slice.
-pub fn norm_inf(a: &[f64]) -> f64 {
-    a.iter().fold(0.0f64, |m, v| m.max(v.abs()))
 }
 
 /// Scales a slice in place.
@@ -100,12 +86,6 @@ pub fn argmax(a: &[f64]) -> Option<usize> {
     best.map(|(i, _)| i)
 }
 
-/// Index of the minimum value; ties broken toward the lowest index.
-/// Returns `None` for an empty slice or when every value is NaN.
-pub fn argmin(a: &[f64]) -> Option<usize> {
-    argmax(&a.iter().map(|v| -v).collect::<Vec<_>>())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -120,15 +100,6 @@ mod tests {
         let mut y = vec![1.0, 1.0];
         axpy(2.0, &[1.0, 3.0], &mut y);
         assert_eq!(y, vec![3.0, 7.0]);
-    }
-
-    #[test]
-    fn norms_on_pythagorean_triple() {
-        let v = [3.0, -4.0];
-        assert!((norm2(&v) - 5.0).abs() < 1e-12);
-        assert_eq!(norm1(&v), 7.0);
-        assert_eq!(norm_inf(&v), 4.0);
-        assert_eq!(norm_inf(&[]), 0.0);
     }
 
     #[test]
@@ -151,7 +122,6 @@ mod tests {
         assert_eq!(argmax(&[]), None);
         assert_eq!(argmax(&[f64::NAN]), None);
         assert_eq!(argmax(&[f64::NAN, 2.0, 2.0]), Some(1));
-        assert_eq!(argmin(&[3.0, -1.0, 4.0]), Some(1));
     }
 
     #[test]

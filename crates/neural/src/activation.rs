@@ -63,13 +63,6 @@ impl Activation {
             }
         }
     }
-
-    /// Applies the activation to a slice in place.
-    pub fn apply_slice(self, xs: &mut [f64]) {
-        for x in xs {
-            *x = self.apply(*x);
-        }
-    }
 }
 
 /// Numerically stable logistic sigmoid.
@@ -122,13 +115,6 @@ mod tests {
         assert!(sigmoid(800.0) <= 1.0);
         assert!(sigmoid(-800.0).is_finite());
         assert!((sigmoid(800.0) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn apply_slice_in_place() {
-        let mut xs = [-1.0, 2.0];
-        Activation::Relu.apply_slice(&mut xs);
-        assert_eq!(xs, [0.0, 2.0]);
     }
 
     #[test]

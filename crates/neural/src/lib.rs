@@ -47,7 +47,7 @@ pub use error::NeuralError;
 pub use loss::Loss;
 pub use lstm::{LstmBatchCache, LstmCache, LstmLayer};
 pub use mlp::{Mlp, MlpConfig};
-pub use optimizer::{Adam, Optimizer, RmsProp, Sgd};
+pub use optimizer::{Adam, Optimizer, Sgd};
 pub use recurrent::{RecurrentNetwork, RecurrentNetworkConfig};
 
 /// Anything with a flat parameter vector: supports target-network copies,

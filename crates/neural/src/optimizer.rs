@@ -75,52 +75,6 @@ impl Optimizer for Sgd {
     }
 }
 
-/// RMSProp — the optimizer of the original DQN paper (Mnih et al. 2013).
-#[derive(Debug, Clone)]
-pub struct RmsProp {
-    lr: f64,
-    decay: f64,
-    eps: f64,
-    mean_sq: Vec<f64>,
-}
-
-impl RmsProp {
-    /// Creates RMSProp with learning rate `lr` and squared-gradient decay
-    /// `decay` (0.9 and 0.99 are common).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lr <= 0` or `decay ∉ [0, 1)`.
-    pub fn new(lr: f64, decay: f64) -> Self {
-        assert!(lr > 0.0, "learning rate must be positive");
-        assert!((0.0..1.0).contains(&decay), "decay must be in [0, 1)");
-        RmsProp {
-            lr,
-            decay,
-            eps: 1e-8,
-            mean_sq: Vec::new(),
-        }
-    }
-}
-
-impl Optimizer for RmsProp {
-    fn step(&mut self, params: &mut [f64], grads: &[f64]) {
-        assert_eq!(params.len(), grads.len(), "param/grad length mismatch");
-        if self.mean_sq.is_empty() {
-            self.mean_sq = vec![0.0; params.len()];
-        }
-        assert_eq!(self.mean_sq.len(), params.len(), "state length changed");
-        for ((p, g), ms) in params.iter_mut().zip(grads).zip(&mut self.mean_sq) {
-            *ms = self.decay * *ms + (1.0 - self.decay) * g * g;
-            *p -= self.lr * g / (ms.sqrt() + self.eps);
-        }
-    }
-
-    fn reset(&mut self) {
-        self.mean_sq.clear();
-    }
-}
-
 /// Adam (Kingma & Ba 2015) with bias correction.
 #[derive(Debug, Clone)]
 pub struct Adam {
@@ -221,11 +175,6 @@ mod tests {
     #[test]
     fn sgd_momentum_minimises() {
         minimises_quadratic(&mut Sgd::with_momentum(0.02, 0.9));
-    }
-
-    #[test]
-    fn rmsprop_minimises() {
-        minimises_quadratic(&mut RmsProp::new(0.05, 0.9));
     }
 
     #[test]

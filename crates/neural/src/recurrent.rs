@@ -60,16 +60,6 @@ impl RecurrentNetwork {
         Ok(RecurrentNetwork { lstm, head })
     }
 
-    /// Input width per time step.
-    pub fn input_dim(&self) -> usize {
-        self.lstm.in_dim()
-    }
-
-    /// LSTM hidden size.
-    pub fn hidden_dim(&self) -> usize {
-        self.lstm.hidden()
-    }
-
     /// Number of outputs (actions).
     pub fn output_dim(&self) -> usize {
         self.head.out_dim()

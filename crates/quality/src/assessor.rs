@@ -28,30 +28,20 @@ pub struct QualityAssessment {
 pub struct QualityAssessor {
     requirement: QualityRequirement,
     metric: ErrorMetric,
-    /// Prior scale for the continuous error model (roughly "how large could
-    /// errors plausibly be before seeing data"); defaults to ε itself.
-    prior_scale: f64,
 }
 
+/// Floor of the continuous error model's prior scale, which is ε itself
+/// (roughly "how large could errors plausibly be before seeing data"); the
+/// floor keeps the prior proper when ε is 0.
+const MIN_PRIOR_SCALE: f64 = 1e-6;
+
 impl QualityAssessor {
-    /// Creates an assessor with a default weak prior scaled to ε.
+    /// Creates an assessor with a weak prior scaled to ε.
     pub fn new(requirement: QualityRequirement, metric: ErrorMetric) -> Self {
         QualityAssessor {
             requirement,
             metric,
-            prior_scale: requirement.epsilon.max(1e-6),
         }
-    }
-
-    /// Overrides the prior scale of the continuous Bayesian error model.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `scale <= 0`.
-    pub fn with_prior_scale(mut self, scale: f64) -> Self {
-        assert!(scale > 0.0, "prior scale must be positive");
-        self.prior_scale = scale;
-        self
     }
 
     /// The (ε, p) requirement being enforced.
@@ -161,7 +151,8 @@ impl QualityAssessor {
             }
             model.prob_error_rate_at_most(self.requirement.epsilon.min(1.0), unsensed)?
         } else {
-            let mut model = NormalInverseGamma::weak_prior(self.prior_scale, self.prior_scale);
+            let prior_scale = self.requirement.epsilon.max(MIN_PRIOR_SCALE);
+            let mut model = NormalInverseGamma::weak_prior(prior_scale, prior_scale);
             model.observe_all(&loo_errors);
             model.prob_mean_below(self.requirement.epsilon, unsensed)?
         };
@@ -297,13 +288,6 @@ mod tests {
         let assessor = QualityAssessor::new(requirement(0.3), ErrorMetric::MeanAbsolute);
         let _ = assessor.assess(&obs, 1, &knn).unwrap();
         assert_eq!(obs, before, "assessment must not mutate the input");
-    }
-
-    #[test]
-    #[should_panic(expected = "positive")]
-    fn prior_scale_validated() {
-        let _ =
-            QualityAssessor::new(requirement(0.3), ErrorMetric::MeanAbsolute).with_prior_scale(0.0);
     }
 
     #[test]

@@ -133,16 +133,6 @@ impl QualityRequirement {
         }
         Ok(QualityRequirement { epsilon, p })
     }
-
-    /// Checks the *realised* guarantee over a sequence of per-cycle errors:
-    /// did at least `p·100%` of cycles come in at or below ε?
-    pub fn satisfied_by(&self, cycle_errors: &[f64]) -> bool {
-        if cycle_errors.is_empty() {
-            return true;
-        }
-        let ok = cycle_errors.iter().filter(|&&e| e <= self.epsilon).count();
-        ok as f64 >= self.p * cycle_errors.len() as f64
-    }
 }
 
 #[cfg(test)]
@@ -218,13 +208,5 @@ mod tests {
         assert!(QualityRequirement::new(0.0, 1.0).is_ok());
         assert!(QualityRequirement::new(0.3, 0.0).is_err());
         assert!(QualityRequirement::new(f64::NAN, 0.5).is_err());
-    }
-
-    #[test]
-    fn satisfied_by_counts_fraction() {
-        let req = QualityRequirement::new(1.0, 0.75).unwrap();
-        assert!(req.satisfied_by(&[0.5, 0.9, 1.0, 2.0])); // 3/4 ok
-        assert!(!req.satisfied_by(&[0.5, 2.0, 1.5, 2.0])); // 1/4 ok
-        assert!(req.satisfied_by(&[]));
     }
 }

@@ -40,7 +40,6 @@ pub use schedule::EpsilonSchedule;
 pub use tabular::{TabularConfig, TabularQLearning};
 pub use transition::Transition;
 
-use drcell_linalg::Matrix;
 use rand::Rng;
 
 /// Selects an action ε-greedily from Q-values under a validity mask:
@@ -101,12 +100,6 @@ pub fn masked_max(q: &[f64], mask: &[bool]) -> Option<f64> {
         .zip(mask)
         .filter_map(|(&v, &ok)| if ok { Some(v) } else { None })
         .fold(None, |acc, v| Some(acc.map_or(v, |a: f64| a.max(v))))
-}
-
-/// Flattens a `k × m` state-history matrix into the row-major vector the
-/// dense Q-network consumes.
-pub fn flatten_state(state: &Matrix) -> Vec<f64> {
-    state.as_slice().to_vec()
 }
 
 #[cfg(test)]
@@ -179,11 +172,5 @@ mod tests {
                 "mask {mask:?}"
             );
         }
-    }
-
-    #[test]
-    fn flatten_state_row_major() {
-        let m = Matrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0]]).unwrap();
-        assert_eq!(flatten_state(&m), vec![1.0, 2.0, 3.0, 4.0]);
     }
 }

@@ -221,11 +221,6 @@ impl DrqnQNetwork {
         )?;
         Ok(DrqnQNetwork { net })
     }
-
-    /// LSTM hidden size.
-    pub fn hidden(&self) -> usize {
-        self.net.hidden_dim()
-    }
 }
 
 impl QNetwork for DrqnQNetwork {

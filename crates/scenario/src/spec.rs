@@ -631,21 +631,6 @@ impl SweepSpec {
         .map(|&n| n.max(1))
         .product()
     }
-
-    /// Expands only the `start..end` slice of the scenario matrix —
-    /// exactly `self.expand()[start..end].to_vec()`, with every scenario
-    /// keeping its global name and derivation. This is the sweep-slicing
-    /// primitive of sharded execution: a daemon handed `start..end` runs
-    /// the same scenarios, under the same names and seeds, as the
-    /// single-host engine would at those matrix indices.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `start > end` or `end > self.matrix_len()`, like any
-    /// out-of-bounds slice.
-    pub fn expand_range(&self, start: usize, end: usize) -> Vec<ScenarioSpec> {
-        self.expand()[start..end].to_vec()
-    }
 }
 
 #[cfg(test)]
@@ -777,7 +762,7 @@ mod tests {
     }
 
     #[test]
-    fn expand_range_is_a_slice_of_expand() {
+    fn matrix_len_counts_the_expanded_scenarios() {
         let sweep = SweepSpec {
             base: tiny_base(),
             policies: vec![PolicySpec::Random, PolicySpec::Qbc],
@@ -786,17 +771,8 @@ mod tests {
             seeds: vec![1, 2],
             perturbations: Vec::new(),
         };
-        let full = sweep.expand();
-        assert_eq!(sweep.matrix_len(), full.len());
-        assert_eq!(sweep.expand_range(0, full.len()), full);
-        assert_eq!(sweep.expand_range(3, 6), full[3..6].to_vec());
-        assert!(sweep.expand_range(5, 5).is_empty());
-        // The shard plan reassembles the matrix exactly.
-        let stitched: Vec<ScenarioSpec> = shard_ranges(full.len(), 3)
-            .into_iter()
-            .flat_map(|r| sweep.expand_range(r.start, r.end))
-            .collect();
-        assert_eq!(stitched, full);
+        assert_eq!(sweep.matrix_len(), 8);
+        assert_eq!(sweep.expand().len(), sweep.matrix_len());
     }
 
     #[test]

@@ -9,7 +9,8 @@ use std::time::{Duration, Instant};
 use drcell_scenario::cli::load_spec_value;
 use drcell_scenario::{registry, ScenarioSpec, SweepSpec};
 use drcell_serve::{
-    fansweep_with, Client, ClientConfig, FleetConfig, JobStream, ServeConfig, ServeError, Server,
+    fansweep_with, Client, ClientConfig, FleetConfig, JobStream, RetryConfig, ServeConfig,
+    ServeError, Server,
 };
 use serde::Deserialize;
 
@@ -62,9 +63,10 @@ to `drcell-scenario run/sweep --jsonl` for the same spec) to --rows or
 stdout; control frames go to stderr. Exits nonzero if any scenario fails
 or the job is cancelled or runs out of time. `--deadline SECS` gives the
 job a server-enforced time budget. `--retry-busy N` retries an admission
-refusal (busy frame) up to N times with exponential backoff (200 ms
-doubling, capped at 5 s, never below the server's retry_after_ms hint)
-on a fresh connection each time.
+refusal (busy frame) up to N times on a fresh connection each time, with
+the jittered exponential backoff fansweep uses (200 ms doubling, capped
+at 5 s, each delay jittered into [0.5x, 1.5x)), never below the server's
+retry_after_ms hint.
 
 `fansweep` shards a sweep's scenario matrix across every --daemon (the
 default sweep when --sweep is omitted, matching `drcell-scenario sweep`)
@@ -285,13 +287,7 @@ fn cmd_submit(opts: &Options) -> Result<(), String> {
                 limit,
                 retry_after_ms,
             }) if attempt <= opts.retry_busy => {
-                // 200 ms doubling, capped at 5 s — but never below the
-                // server's own load-derived hint: it has seen the queue,
-                // this client has only seen a refusal.
-                let backoff = Duration::from_millis(200)
-                    .saturating_mul(1u32 << (attempt - 1).min(16) as u32)
-                    .min(Duration::from_secs(5))
-                    .max(Duration::from_millis(retry_after_ms));
+                let backoff = busy_retry_delay(attempt, retry_after_ms);
                 eprintln!(
                     "server busy ({reason}, {depth}/{limit}); retry {attempt}/{} in {} ms",
                     opts.retry_busy,
@@ -302,6 +298,16 @@ fn cmd_submit(opts: &Options) -> Result<(), String> {
             Err(e) => return Err(e.to_string()),
         }
     }
+}
+
+/// Delay before retry `retry` (1-based) of a busy-refused submit: the
+/// fleet coordinator's jittered, capped backoff (retry `n` waits like
+/// shard claim `n + 1`), but never below the server's load-derived hint —
+/// it has seen the queue, this client has only seen a refusal.
+fn busy_retry_delay(retry: usize, retry_after_ms: u64) -> Duration {
+    RetryConfig::default()
+        .backoff(0, retry + 1)
+        .max(Duration::from_millis(retry_after_ms))
 }
 
 /// Streams an accepted job's frames to completion, writing rows to
@@ -579,5 +585,32 @@ fn main() -> ExitCode {
             eprintln!("error: {e}");
             ExitCode::FAILURE
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn busy_retry_delay_is_capped_and_floored_by_the_server_hint() {
+        let retry = RetryConfig::default();
+        for n in 1..20 {
+            // Without a hint the delay is the coordinator's backoff: the
+            // first retry sits around the 200 ms base, and from the sixth
+            // on (200 ms · 2^5 > 5 s) the cap bounds it.
+            let d = busy_retry_delay(n, 0);
+            assert_eq!(d, retry.backoff(0, n + 1));
+            assert!(d < retry.cap.mul_f64(1.5), "retry {n}: {d:?}");
+            if n >= 6 {
+                assert!(d >= retry.cap.mul_f64(0.5), "retry {n}: {d:?}");
+            }
+        }
+        assert!(busy_retry_delay(1, 0) < retry.base.mul_f64(1.5));
+        // The server's hint is a floor, even above the cap...
+        assert_eq!(busy_retry_delay(1, 60_000), Duration::from_secs(60));
+        assert_eq!(busy_retry_delay(19, 60_000), Duration::from_secs(60));
+        // ...and never lowers the backoff.
+        assert_eq!(busy_retry_delay(3, 1), retry.backoff(0, 4));
     }
 }

@@ -94,6 +94,24 @@ impl Default for RetryConfig {
     }
 }
 
+impl RetryConfig {
+    /// Backoff before claim `attempt` of `shard`: zero for the first claim,
+    /// then `min(base · 2^(attempt-2), cap)` jittered into `[0.5×, 1.5×)` by
+    /// a splitmix64 stream over `(jitter_seed, shard, attempt)`. Pure —
+    /// identical inputs give identical delays, which keeps chaos schedules
+    /// reproducible end to end.
+    pub fn backoff(&self, shard: usize, attempt: usize) -> Duration {
+        if attempt <= 1 {
+            return Duration::ZERO;
+        }
+        let exp = (attempt - 2).min(16) as u32;
+        let base = self.base.saturating_mul(1u32 << exp).min(self.cap);
+        let draw = splitmix(self.jitter_seed ^ ((shard as u64) << 32) ^ attempt as u64);
+        let frac = (draw >> 11) as f64 / (1u64 << 53) as f64; // [0, 1)
+        base.mul_f64(0.5 + frac)
+    }
+}
+
 /// Health-probe policy for retired daemons.
 ///
 /// A worker whose daemon failed does not exit: it waits `cooldown`
@@ -461,7 +479,7 @@ fn serve_shards(
                     st.running -= 1;
                     st.queue.push_back(shard);
                     st.not_before[shard] =
-                        Some(Instant::now() + backoff(&config.retry, shard, attempt + 1));
+                        Some(Instant::now() + config.retry.backoff(shard, attempt + 1));
                     if attempt >= max_attempts {
                         let abort = format!(
                             "shard {}..{} failed {attempt} attempts (limit {max_attempts}), last: {e}",
@@ -540,22 +558,6 @@ fn cool_off(
     }
     *cooldown = (*cooldown * 2).min(config.probe.cooldown * 8);
     true
-}
-
-/// Backoff before claim `attempt` of `shard`: zero for the first claim,
-/// then `min(base · 2^(attempt-2), cap)` jittered into `[0.5×, 1.5×)` by
-/// a splitmix64 stream over `(jitter_seed, shard, attempt)`. Pure —
-/// identical inputs give identical delays, which keeps chaos schedules
-/// reproducible end to end.
-fn backoff(retry: &RetryConfig, shard: usize, attempt: usize) -> Duration {
-    if attempt <= 1 {
-        return Duration::ZERO;
-    }
-    let exp = (attempt - 2).min(16) as u32;
-    let base = retry.base.saturating_mul(1u32 << exp).min(retry.cap);
-    let draw = splitmix(retry.jitter_seed ^ ((shard as u64) << 32) ^ attempt as u64);
-    let frac = (draw >> 11) as f64 / (1u64 << 53) as f64; // [0, 1)
-    base.mul_f64(0.5 + frac)
 }
 
 /// SplitMix64 finalizer — one well-mixed draw per distinct input.
@@ -726,11 +728,11 @@ mod tests {
     fn backoff_is_deterministic_jittered_and_capped() {
         let retry = RetryConfig::default();
         // First claim is immediate.
-        assert_eq!(backoff(&retry, 0, 1), Duration::ZERO);
+        assert_eq!(retry.backoff(0, 1), Duration::ZERO);
         // Same inputs, same delay; different shard or attempt, (almost
         // surely) different jitter.
-        assert_eq!(backoff(&retry, 3, 2), backoff(&retry, 3, 2));
-        assert_ne!(backoff(&retry, 3, 2), backoff(&retry, 4, 2));
+        assert_eq!(retry.backoff(3, 2), retry.backoff(3, 2));
+        assert_ne!(retry.backoff(3, 2), retry.backoff(4, 2));
         // Jitter keeps every delay within [0.5, 1.5) of the ideal curve,
         // and the cap bounds the curve itself.
         for attempt in 2..12 {
@@ -738,7 +740,7 @@ mod tests {
                 .base
                 .saturating_mul(1u32 << (attempt - 2).min(16))
                 .min(retry.cap);
-            let d = backoff(&retry, 7, attempt as usize);
+            let d = retry.backoff(7, attempt as usize);
             assert!(
                 d >= ideal.mul_f64(0.5),
                 "attempt {attempt}: {d:?} < half of {ideal:?}"
@@ -757,6 +759,6 @@ mod tests {
             jitter_seed: 42,
             ..retry
         };
-        assert_ne!(backoff(&retry, 3, 2), backoff(&reseeded, 3, 2));
+        assert_ne!(retry.backoff(3, 2), reseeded.backoff(3, 2));
     }
 }

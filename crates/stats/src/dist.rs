@@ -1,103 +1,11 @@
-//! Probability distributions: Normal, Student-t, Beta, Beta-Binomial.
-//!
-//! Each distribution is a small value type with `pdf`/`cdf` (and where the
-//! quality-assessment pipeline needs it, quantile/predictive helpers).
+//! The two predictive distributions the (ε, p)-quality check queries:
+//! Student-t (continuous metrics) and Beta-Binomial (classification).
+//! Each is a small value type with the CDF the check needs.
 
 use serde::{Deserialize, Serialize};
 
-use crate::special::{beta_inc, erfc, ln_beta, ln_gamma};
+use crate::special::{beta_inc, ln_beta, ln_gamma};
 use crate::StatsError;
-
-/// Normal (Gaussian) distribution.
-///
-/// ```
-/// use drcell_stats::dist::Normal;
-/// let n = Normal::new(10.0, 2.0).unwrap();
-/// assert!((n.cdf(10.0) - 0.5).abs() < 1e-12);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct Normal {
-    mean: f64,
-    std_dev: f64,
-}
-
-impl Normal {
-    /// Creates a normal distribution with the given mean and standard
-    /// deviation.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StatsError::InvalidParameter`] if `std_dev <= 0` or either
-    /// parameter is not finite.
-    pub fn new(mean: f64, std_dev: f64) -> Result<Self, StatsError> {
-        if !std_dev.is_finite() || std_dev <= 0.0 {
-            return Err(StatsError::InvalidParameter {
-                name: "std_dev",
-                value: std_dev,
-                expected: "finite and > 0",
-            });
-        }
-        if !mean.is_finite() {
-            return Err(StatsError::InvalidParameter {
-                name: "mean",
-                value: mean,
-                expected: "finite",
-            });
-        }
-        Ok(Normal { mean, std_dev })
-    }
-
-    /// The standard normal `N(0, 1)`.
-    pub fn standard() -> Self {
-        Normal {
-            mean: 0.0,
-            std_dev: 1.0,
-        }
-    }
-
-    /// Distribution mean.
-    pub fn mean(&self) -> f64 {
-        self.mean
-    }
-
-    /// Distribution standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.std_dev
-    }
-
-    /// Probability density at `x`.
-    pub fn pdf(&self, x: f64) -> f64 {
-        let z = (x - self.mean) / self.std_dev;
-        (-0.5 * z * z).exp() / (self.std_dev * (2.0 * std::f64::consts::PI).sqrt())
-    }
-
-    /// Cumulative distribution function at `x`.
-    pub fn cdf(&self, x: f64) -> f64 {
-        let z = (x - self.mean) / (self.std_dev * std::f64::consts::SQRT_2);
-        0.5 * erfc(-z)
-    }
-
-    /// Quantile (inverse CDF) via bisection on the monotone CDF.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p ∉ (0, 1)`.
-    pub fn quantile(&self, p: f64) -> f64 {
-        assert!(p > 0.0 && p < 1.0, "quantile requires p in (0, 1)");
-        // Bracket ±12σ then bisect; 80 iterations gives ~1e-12 accuracy.
-        let mut lo = self.mean - 12.0 * self.std_dev;
-        let mut hi = self.mean + 12.0 * self.std_dev;
-        for _ in 0..200 {
-            let mid = 0.5 * (lo + hi);
-            if self.cdf(mid) < p {
-                lo = mid;
-            } else {
-                hi = mid;
-            }
-        }
-        0.5 * (lo + hi)
-    }
-}
 
 /// Student-t distribution with `nu` degrees of freedom, location `loc` and
 /// scale `scale` — the posterior-predictive distribution of the
@@ -134,31 +42,6 @@ impl StudentT {
         Ok(StudentT { nu, loc, scale })
     }
 
-    /// Degrees of freedom.
-    pub fn nu(&self) -> f64 {
-        self.nu
-    }
-
-    /// Location parameter.
-    pub fn loc(&self) -> f64 {
-        self.loc
-    }
-
-    /// Scale parameter.
-    pub fn scale(&self) -> f64 {
-        self.scale
-    }
-
-    /// Probability density at `x`.
-    pub fn pdf(&self, x: f64) -> f64 {
-        let z = (x - self.loc) / self.scale;
-        let ln_c = ln_gamma((self.nu + 1.0) / 2.0)
-            - ln_gamma(self.nu / 2.0)
-            - 0.5 * (self.nu * std::f64::consts::PI).ln()
-            - self.scale.ln();
-        (ln_c - (self.nu + 1.0) / 2.0 * (1.0 + z * z / self.nu).ln()).exp()
-    }
-
     /// Cumulative distribution function at `x`, via the regularised
     /// incomplete beta function.
     pub fn cdf(&self, x: f64) -> f64 {
@@ -170,70 +53,6 @@ impl StudentT {
         } else {
             p
         }
-    }
-}
-
-/// Beta distribution on `[0, 1]` — the conjugate posterior over a Bernoulli
-/// success probability (classification-error quality assessment).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct Beta {
-    alpha: f64,
-    beta: f64,
-}
-
-impl Beta {
-    /// Creates a Beta distribution.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StatsError::InvalidParameter`] if either shape is
-    /// non-positive.
-    pub fn new(alpha: f64, beta: f64) -> Result<Self, StatsError> {
-        for (name, v) in [("alpha", alpha), ("beta", beta)] {
-            if !v.is_finite() || v <= 0.0 {
-                return Err(StatsError::InvalidParameter {
-                    name,
-                    value: v,
-                    expected: "finite and > 0",
-                });
-            }
-        }
-        Ok(Beta { alpha, beta })
-    }
-
-    /// Shape parameter α.
-    pub fn alpha(&self) -> f64 {
-        self.alpha
-    }
-
-    /// Shape parameter β.
-    pub fn beta(&self) -> f64 {
-        self.beta
-    }
-
-    /// Distribution mean `α / (α + β)`.
-    pub fn mean(&self) -> f64 {
-        self.alpha / (self.alpha + self.beta)
-    }
-
-    /// Probability density at `x ∈ [0, 1]`.
-    pub fn pdf(&self, x: f64) -> f64 {
-        if !(0.0..=1.0).contains(&x) {
-            return 0.0;
-        }
-        if x == 0.0 || x == 1.0 {
-            // Degenerate boundary handling: density may be 0 or ∞; return 0
-            // for simplicity (the CDF is what the pipeline uses).
-            return 0.0;
-        }
-        ((self.alpha - 1.0) * x.ln() + (self.beta - 1.0) * (1.0 - x).ln()
-            - ln_beta(self.alpha, self.beta))
-        .exp()
-    }
-
-    /// Cumulative distribution function at `x` (clamped to `[0, 1]`).
-    pub fn cdf(&self, x: f64) -> f64 {
-        beta_inc(self.alpha, self.beta, x.clamp(0.0, 1.0))
     }
 }
 
@@ -257,13 +76,16 @@ impl BetaBinomial {
     /// Returns [`StatsError::InvalidParameter`] if either shape is
     /// non-positive.
     pub fn new(n: u32, alpha: f64, beta: f64) -> Result<Self, StatsError> {
-        let _ = Beta::new(alpha, beta)?;
+        for (name, v) in [("alpha", alpha), ("beta", beta)] {
+            if !v.is_finite() || v <= 0.0 {
+                return Err(StatsError::InvalidParameter {
+                    name,
+                    value: v,
+                    expected: "finite and > 0",
+                });
+            }
+        }
         Ok(BetaBinomial { n, alpha, beta })
-    }
-
-    /// Number of trials.
-    pub fn n(&self) -> u32 {
-        self.n
     }
 
     /// Probability mass at exactly `k` successes.
@@ -285,53 +107,11 @@ impl BetaBinomial {
             .sum::<f64>()
             .min(1.0)
     }
-
-    /// Distribution mean `n·α/(α+β)`.
-    pub fn mean(&self) -> f64 {
-        self.n as f64 * self.alpha / (self.alpha + self.beta)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn normal_cdf_known_values() {
-        let n = Normal::standard();
-        assert!((n.cdf(0.0) - 0.5).abs() < 1e-12);
-        assert!((n.cdf(1.96) - 0.975).abs() < 1e-3);
-        assert!((n.cdf(-1.96) - 0.025).abs() < 1e-3);
-    }
-
-    #[test]
-    fn normal_pdf_integrates_to_one() {
-        let n = Normal::new(2.0, 3.0).unwrap();
-        let mut sum = 0.0;
-        let dx = 0.01;
-        let mut x = -28.0;
-        while x < 32.0 {
-            sum += n.pdf(x) * dx;
-            x += dx;
-        }
-        assert!((sum - 1.0).abs() < 1e-4);
-    }
-
-    #[test]
-    fn normal_quantile_inverts_cdf() {
-        let n = Normal::new(-1.0, 0.5).unwrap();
-        for p in [0.01, 0.1, 0.5, 0.9, 0.99] {
-            let x = n.quantile(p);
-            assert!((n.cdf(x) - p).abs() < 1e-9, "p={p}");
-        }
-    }
-
-    #[test]
-    fn normal_rejects_bad_sigma() {
-        assert!(Normal::new(0.0, 0.0).is_err());
-        assert!(Normal::new(0.0, -1.0).is_err());
-        assert!(Normal::new(f64::NAN, 1.0).is_err());
-    }
 
     #[test]
     fn student_t_symmetric_at_loc() {
@@ -341,10 +121,16 @@ mod tests {
 
     #[test]
     fn student_t_approaches_normal_for_large_nu() {
+        // Standard normal CDF values Φ(x).
         let t = StudentT::new(1e6, 0.0, 1.0).unwrap();
-        let n = Normal::standard();
-        for x in [-2.0, -0.5, 0.0, 1.0, 2.5] {
-            assert!((t.cdf(x) - n.cdf(x)).abs() < 1e-4, "x={x}");
+        for (x, phi) in [
+            (-2.0, 0.022_750_131_948_179_2),
+            (-0.5, 0.308_537_538_725_986_9),
+            (0.0, 0.5),
+            (1.0, 0.841_344_746_068_542_9),
+            (2.5, 0.993_790_334_674_223_7),
+        ] {
+            assert!((t.cdf(x) - phi).abs() < 1e-4, "x={x}");
         }
     }
 
@@ -353,38 +139,6 @@ mod tests {
         // For nu=1 (Cauchy), CDF(1) = 3/4.
         let t = StudentT::new(1.0, 0.0, 1.0).unwrap();
         assert!((t.cdf(1.0) - 0.75).abs() < 1e-9);
-    }
-
-    #[test]
-    fn student_t_pdf_integrates_to_one() {
-        let t = StudentT::new(4.0, 0.0, 1.0).unwrap();
-        let mut sum = 0.0;
-        let dx = 0.005;
-        let mut x = -60.0;
-        while x < 60.0 {
-            sum += t.pdf(x) * dx;
-            x += dx;
-        }
-        assert!((sum - 1.0).abs() < 1e-3);
-    }
-
-    #[test]
-    fn beta_cdf_bounds_and_mean() {
-        let b = Beta::new(2.0, 5.0).unwrap();
-        assert_eq!(b.cdf(0.0), 0.0);
-        assert_eq!(b.cdf(1.0), 1.0);
-        assert!((b.mean() - 2.0 / 7.0).abs() < 1e-12);
-        assert_eq!(b.cdf(-0.5), 0.0);
-        assert_eq!(b.cdf(1.5), 1.0);
-    }
-
-    #[test]
-    fn beta_uniform_case() {
-        let b = Beta::new(1.0, 1.0).unwrap();
-        for x in [0.2, 0.5, 0.9] {
-            assert!((b.cdf(x) - x).abs() < 1e-10);
-            assert!((b.pdf(x) - 1.0).abs() < 1e-10);
-        }
     }
 
     #[test]
@@ -402,12 +156,6 @@ mod tests {
         for k in 0..=4 {
             assert!((bb.pmf(k) - 0.2).abs() < 1e-10, "k={k}");
         }
-    }
-
-    #[test]
-    fn beta_binomial_mean() {
-        let bb = BetaBinomial::new(20, 3.0, 7.0).unwrap();
-        assert!((bb.mean() - 6.0).abs() < 1e-12);
     }
 
     #[test]

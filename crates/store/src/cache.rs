@@ -41,13 +41,6 @@ pub struct CacheStats {
     pub bytes: usize,
 }
 
-impl CacheStats {
-    /// Memory and disk hits combined.
-    pub fn hits(&self) -> u64 {
-        self.mem_hits + self.disk_hits
-    }
-}
-
 #[derive(Debug)]
 struct Entry {
     rows: Arc<Vec<String>>,
@@ -112,11 +105,6 @@ impl ResultCache {
             misses: AtomicU64::new(0),
             tmp_seq: AtomicU64::new(0),
         })
-    }
-
-    /// The spill directory, if spill is enabled.
-    pub fn spill_dir(&self) -> Option<&Path> {
-        self.dir.as_deref()
     }
 
     /// Looks `key` up: memory first, then the spill directory (a disk hit

@@ -1,10 +1,10 @@
 //! Integration tests of the future-work extensions: online learning through
-//! the real runner, heterogeneous costs, checkpointing and trace I/O.
+//! the real runner, heterogeneous costs, and checkpointing.
 
 use drcell::core::{
     CostModel, OnlineDrCellConfig, OnlineDrCellPolicy, RunnerConfig, SensingTask, SparseMcsRunner,
 };
-use drcell::datasets::{trace, CellGrid, DataMatrix};
+use drcell::datasets::{CellGrid, DataMatrix};
 use drcell::neural::{persist, Adam, Parameterized};
 use drcell::quality::{ErrorMetric, QualityRequirement};
 use drcell::rl::{DqnAgent, DqnConfig, DrqnQNetwork};
@@ -127,23 +127,4 @@ fn cost_model_prices_a_real_run() {
         double.price_report(&report).unwrap(),
         2.0 * report.total_selections() as f64
     );
-}
-
-#[test]
-fn trace_csv_roundtrip_feeds_a_task() {
-    let task = small_task();
-    let csv = trace::to_csv(task.truth(), task.grid());
-    let (data, grid) = trace::from_csv(&csv).unwrap();
-    let rebuilt = SensingTask::new(
-        "from-trace",
-        data,
-        grid,
-        ErrorMetric::MeanAbsolute,
-        QualityRequirement::new(0.3, 0.9).unwrap(),
-        4,
-    )
-    .unwrap();
-    assert_eq!(rebuilt.cells(), task.cells());
-    assert_eq!(rebuilt.cycles(), task.cycles());
-    assert_eq!(rebuilt.truth(), task.truth());
 }

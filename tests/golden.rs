@@ -1,4 +1,4 @@
-//! Absolute golden pin: the SHA-256 of the rows two zero-flag paths emit.
+//! Absolute golden pin: the SHA-256 of the rows three fixed paths emit.
 //!
 //! Every other byte-identity check compares one run against another
 //! (thread counts, kernel sets, cold vs warm). A change that shifts every
@@ -7,7 +7,7 @@
 //! (invariant 9). Update a digest only together with a CHANGES.md entry
 //! that explains the numeric change.
 
-use drcell::scenario::{registry, sink, ScenarioSpec, SweepEngine};
+use drcell::scenario::{registry, sink, PolicySpec, ScenarioSpec, SweepEngine};
 use drcell::store::sha256::Sha256;
 
 /// `drcell-scenario sweep` with no flags: the built-in 8-scenario grid.
@@ -17,6 +17,12 @@ const DEFAULT_SWEEP_SHA256: &str =
 /// `drcell-scenario run --name synthetic-smooth`.
 const SYNTHETIC_SMOOTH_SHA256: &str =
     "f3c9949f8d7eb81db337bfccd2fa5e801dbc252d8441a49984bb3af1e43c141c";
+
+/// `aqi-baseline` under the RANDOM policy: the classification quality
+/// path (Beta-Bernoulli posterior, Beta-Binomial tail), which the two
+/// digests above never reach.
+const AQI_BASELINE_RANDOM_SHA256: &str =
+    "d7c620bec3870188ba91c977ca9ddc24242f85d455f912e1b21c5cb59e3f926b";
 
 fn jsonl_digest(engine: &SweepEngine, specs: &[ScenarioSpec]) -> String {
     let results = engine.run(specs);
@@ -44,5 +50,15 @@ fn synthetic_smooth_rows_match_the_golden_digest() {
     assert_eq!(
         jsonl_digest(&SweepEngine::new(0), &[spec]),
         SYNTHETIC_SMOOTH_SHA256
+    );
+}
+
+#[test]
+fn aqi_baseline_random_rows_match_the_golden_digest() {
+    let mut spec = registry::find("aqi-baseline").expect("registry scenario");
+    spec.policy = PolicySpec::Random;
+    assert_eq!(
+        jsonl_digest(&SweepEngine::new(0), &[spec]),
+        AQI_BASELINE_RANDOM_SHA256
     );
 }
