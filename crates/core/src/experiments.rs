@@ -4,18 +4,28 @@
 //! `drcell-bench` binaries call these at full paper scale, while tests call
 //! them on scaled-down tasks. Rows are plain structs so callers can print,
 //! assert, or serialise them.
+//!
+//! A figure splits into independent units: the stages that share a trained
+//! Q-function stay together in one unit, and every stage that never reads
+//! it (a baseline, a separately trained variant) is a unit of its own.
+//! The units fan out with [`Pool::try_run_units`], which reserves its
+//! workers as outer parallelism, so the pools inside each unit resolve to
+//! the remaining share. Every unit seeds its own generator exactly as the
+//! serial sequence does, and the rows come back in that sequence's order,
+//! so they are bit-identical at any worker count.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+use drcell_linalg::gemm::Pool;
 use drcell_neural::Adam;
 use drcell_quality::QualityRequirement;
 use drcell_rl::{DqnAgent, DrqnQNetwork};
 
 use crate::transfer::{limited_training_task, short_train};
 use crate::{
-    CoreError, DrCellPolicy, DrCellTrainer, QbcPolicy, RandomPolicy, RunReport, RunnerConfig,
-    SensingTask, SparseMcsRunner,
+    CellSelectionPolicy, CoreError, DrCellPolicy, DrCellTrainer, QbcPolicy, RandomPolicy,
+    RunReport, RunnerConfig, SensingTask, SparseMcsRunner,
 };
 
 /// One bar of Figure 6: a policy's average number of selected cells per
@@ -62,6 +72,11 @@ impl Fig6Row {
 /// Reproduces one task's portion of **Figure 6**: DR-Cell vs QBC vs RANDOM
 /// at each requested `p`, reporting average selected cells per cycle.
 ///
+/// Rows come in `ps` order, DR-Cell, QBC and RANDOM at each `p`. Unit 0
+/// trains the DRQN and runs DR-Cell at every `p`; QBC and RANDOM never
+/// read the Q-function, so each (p, baseline) pair runs as a unit of its
+/// own, concurrently with training.
+///
 /// # Errors
 ///
 /// Propagates training, policy and runner failures.
@@ -72,30 +87,53 @@ pub fn fig6(
     runner_config: &RunnerConfig,
     seed: u64,
 ) -> Result<Vec<Fig6Row>, CoreError> {
-    // The Q-function only depends on ε (the training-stage quality signal),
-    // not on p, so train once and reuse the agent for every p.
-    let mut rng = StdRng::seed_from_u64(seed);
-    let agent = trainer.train_drqn(task, &mut rng)?;
-    let mut drcell = DrCellPolicy::new(agent, trainer.config().env.history_k);
+    let units = Pool::auto().try_run_units(1 + 2 * ps.len(), |unit| -> Result<_, CoreError> {
+        if unit == 0 {
+            // The Q-function only depends on ε (the training-stage quality
+            // signal), not on p, so train once and reuse the agent for
+            // every p.
+            let mut rng = StdRng::seed_from_u64(seed);
+            let agent = trainer.train_drqn(task, &mut rng)?;
+            let mut drcell = DrCellPolicy::new(agent, trainer.config().env.history_k);
+            return ps
+                .iter()
+                .map(|&p| fig6_row(task, p, runner_config, &mut drcell, seed))
+                .collect();
+        }
+        let p = ps[(unit - 1) / 2];
+        let row = if unit % 2 == 1 {
+            let mut qbc = QbcPolicy::new(task.grid(), runner_config.window)?;
+            fig6_row(task, p, runner_config, &mut qbc, seed)?
+        } else {
+            fig6_row(task, p, runner_config, &mut RandomPolicy::new(), seed)?
+        };
+        Ok(vec![row])
+    })?;
 
-    let mut rows = Vec::new();
-    for &p in ps {
-        let req = QualityRequirement::new(task.requirement().epsilon, p)?;
-        let task_p = task.with_requirement(req);
-        let runner = SparseMcsRunner::new(&task_p, runner_config.clone())?;
-
-        let mut rng = StdRng::seed_from_u64(seed);
-        rows.push(Fig6Row::from_report(&runner.run(&mut drcell, &mut rng)?, p));
-
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut qbc = QbcPolicy::new(task_p.grid(), runner_config.window)?;
-        rows.push(Fig6Row::from_report(&runner.run(&mut qbc, &mut rng)?, p));
-
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut random = RandomPolicy::new();
-        rows.push(Fig6Row::from_report(&runner.run(&mut random, &mut rng)?, p));
+    let mut units = units.into_iter();
+    let drcell = units.next().expect("unit 0 ran");
+    let mut rows = Vec::with_capacity(3 * ps.len());
+    for (dr, baselines) in drcell.into_iter().zip(units.as_slice().chunks(2)) {
+        rows.push(dr);
+        rows.extend(baselines.iter().flatten().cloned());
     }
     Ok(rows)
+}
+
+/// One Figure-6 testing stage: `policy` under the (ε, `p`) requirement,
+/// with a generator seeded from `seed`.
+fn fig6_row(
+    task: &SensingTask,
+    p: f64,
+    runner_config: &RunnerConfig,
+    policy: &mut dyn CellSelectionPolicy,
+    seed: u64,
+) -> Result<Fig6Row, CoreError> {
+    let req = QualityRequirement::new(task.requirement().epsilon, p)?;
+    let task_p = task.with_requirement(req);
+    let runner = SparseMcsRunner::new(&task_p, runner_config.clone())?;
+    let mut rng = StdRng::seed_from_u64(seed);
+    Ok(Fig6Row::from_report(&runner.run(policy, &mut rng)?, p))
 }
 
 /// One bar of Figure 7: a transfer-learning variant's average number of
@@ -138,6 +176,9 @@ impl Fig7Row {
 /// SHORT-TRAIN vs RANDOM on the target task, where the target has only
 /// `target_cycles` of training data (paper: 10 cycles).
 ///
+/// Three units: the source training with the TRANSFER and NO-TRANSFER
+/// runs that share it, SHORT-TRAIN, and RANDOM.
+///
 /// # Errors
 ///
 /// Propagates training, policy and runner failures.
@@ -151,47 +192,54 @@ pub fn fig7(
 ) -> Result<Vec<Fig7Row>, CoreError> {
     let runner = SparseMcsRunner::new(target_task, runner_config.clone())?;
     let k = trainer.config().env.history_k;
-    let mut rows = Vec::new();
+    let run = |policy: &mut dyn CellSelectionPolicy, rng: &mut StdRng| {
+        Ok::<_, CoreError>(Fig7Row::from_report(&runner.run(policy, rng)?))
+    };
+    let units = Pool::auto().try_run_units(3, |unit| -> Result<Vec<Fig7Row>, CoreError> {
+        match unit {
+            0 => {
+                // The source Q-function is shared by TRANSFER (as the
+                // fine-tuning initialisation) and NO-TRANSFER (used as-is), so
+                // train it once.
+                let mut rng = StdRng::seed_from_u64(seed);
+                let source_agent = trainer.train_drqn(source_task, &mut rng)?;
+                let source_params = source_agent.export_params();
 
-    // The source Q-function is shared by TRANSFER (as the fine-tuning
-    // initialisation) and NO-TRANSFER (used as-is), so train it once.
-    let mut rng = StdRng::seed_from_u64(seed);
-    let source_agent = trainer.train_drqn(source_task, &mut rng)?;
-    let source_params = source_agent.export_params();
+                let limited = limited_training_task(target_task, target_cycles)?;
+                let mut target_agent = DqnAgent::new(
+                    DrqnQNetwork::new(target_task.cells(), trainer.config().hidden, &mut rng)?,
+                    Box::new(Adam::new(trainer.config().learning_rate)),
+                    trainer.config().dqn,
+                )?;
+                target_agent.import_params(&source_params);
+                let agent = trainer.train_agent(&limited, target_agent, &mut rng)?;
+                let mut policy = DrCellPolicy::new(agent, k).with_name("TRANSFER");
+                let transfer = run(&mut policy, &mut StdRng::seed_from_u64(seed))?;
 
-    let limited = limited_training_task(target_task, target_cycles)?;
-    let mut target_agent = DqnAgent::new(
-        DrqnQNetwork::new(target_task.cells(), trainer.config().hidden, &mut rng)?,
-        Box::new(Adam::new(trainer.config().learning_rate)),
-        trainer.config().dqn,
-    )?;
-    target_agent.import_params(&source_params);
-    let agent = trainer.train_agent(&limited, target_agent, &mut rng)?;
-    let mut policy = DrCellPolicy::new(agent, k).with_name("TRANSFER");
-    let mut rng = StdRng::seed_from_u64(seed);
-    rows.push(Fig7Row::from_report(&runner.run(&mut policy, &mut rng)?));
-
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut policy = DrCellPolicy::new(source_agent, k).with_name("NO-TRANSFER");
-    rows.push(Fig7Row::from_report(&runner.run(&mut policy, &mut rng)?));
-
-    let mut rng = StdRng::seed_from_u64(seed);
-    let agent = short_train(trainer, target_task, target_cycles, &mut rng)?;
-    let mut policy = DrCellPolicy::new(agent, k).with_name("SHORT-TRAIN");
-    rows.push(Fig7Row::from_report(&runner.run(&mut policy, &mut rng)?));
-
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut random = RandomPolicy::new();
-    rows.push(Fig7Row::from_report(&runner.run(&mut random, &mut rng)?));
-
-    Ok(rows)
+                let mut policy = DrCellPolicy::new(source_agent, k).with_name("NO-TRANSFER");
+                let no_transfer = run(&mut policy, &mut StdRng::seed_from_u64(seed))?;
+                Ok(vec![transfer, no_transfer])
+            }
+            1 => {
+                let mut rng = StdRng::seed_from_u64(seed);
+                let agent = short_train(trainer, target_task, target_cycles, &mut rng)?;
+                let mut policy = DrCellPolicy::new(agent, k).with_name("SHORT-TRAIN");
+                Ok(vec![run(&mut policy, &mut rng)?])
+            }
+            _ => Ok(vec![run(
+                &mut RandomPolicy::new(),
+                &mut StdRng::seed_from_u64(seed),
+            )?]),
+        }
+    })?;
+    Ok(units.into_iter().flatten().collect())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::{McsEnvConfig, TrainerConfig};
-    use drcell_datasets::{CellGrid, DataMatrix};
+    use drcell_datasets::{CellGrid, DataMatrix, SensorScopeConfig, SensorScopeDataset};
     use drcell_quality::{ErrorMetric, QualityRequirement};
     use drcell_rl::{DqnConfig, EpsilonSchedule};
 
@@ -206,6 +254,30 @@ mod tests {
             ErrorMetric::MeanAbsolute,
             QualityRequirement::new(0.25, 0.9).unwrap(),
             8,
+        )
+        .unwrap()
+    }
+
+    /// A 12-cell Sensor-Scope-like task (48 training, 12 testing cycles).
+    /// On the toy task every policy senses all six cells each cycle, so
+    /// its rows cannot show a seeding change; here the policies select
+    /// different numbers of cells.
+    fn small_task(name: &str, seed: u64) -> SensingTask {
+        let config = SensorScopeConfig {
+            cells: 12,
+            grid_rows: 4,
+            grid_cols: 3,
+            cycles: 60,
+            ..SensorScopeConfig::default()
+        };
+        let ds = SensorScopeDataset::generate(&config, seed);
+        SensingTask::new(
+            name,
+            ds.temperature,
+            ds.grid,
+            ErrorMetric::MeanAbsolute,
+            QualityRequirement::new(0.3, 0.9).unwrap(),
+            48,
         )
         .unwrap()
     }
@@ -239,6 +311,122 @@ mod tests {
             window: 4,
             ..Default::default()
         }
+    }
+
+    /// The serial Figure-6 sequence the fan-out replaces: train, then
+    /// DR-Cell, QBC and RANDOM at each p, each from a fresh generator.
+    fn fig6_serial(
+        task: &SensingTask,
+        ps: &[f64],
+        trainer: &DrCellTrainer,
+        runner_config: &RunnerConfig,
+        seed: u64,
+    ) -> Vec<Fig6Row> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let agent = trainer.train_drqn(task, &mut rng).unwrap();
+        let mut drcell = DrCellPolicy::new(agent, trainer.config().env.history_k);
+        let mut rows = Vec::new();
+        for &p in ps {
+            let req = QualityRequirement::new(task.requirement().epsilon, p).unwrap();
+            let task_p = task.with_requirement(req);
+            let runner = SparseMcsRunner::new(&task_p, runner_config.clone()).unwrap();
+            let mut qbc = QbcPolicy::new(task_p.grid(), runner_config.window).unwrap();
+            let policies: [&mut dyn CellSelectionPolicy; 3] =
+                [&mut drcell, &mut qbc, &mut RandomPolicy::new()];
+            for policy in policies {
+                let mut rng = StdRng::seed_from_u64(seed);
+                let report = runner.run(policy, &mut rng).unwrap();
+                rows.push(Fig6Row::from_report(&report, p));
+            }
+        }
+        rows
+    }
+
+    /// The serial Figure-7 sequence the fan-out replaces: one generator
+    /// chain through source training and TRANSFER fine-tuning, then a
+    /// fresh generator per run and for SHORT-TRAIN.
+    fn fig7_serial(
+        source_task: &SensingTask,
+        target_task: &SensingTask,
+        target_cycles: usize,
+        trainer: &DrCellTrainer,
+        runner_config: &RunnerConfig,
+        seed: u64,
+    ) -> Vec<Fig7Row> {
+        let runner = SparseMcsRunner::new(target_task, runner_config.clone()).unwrap();
+        let k = trainer.config().env.history_k;
+        let mut rng = StdRng::seed_from_u64(seed);
+        let source_agent = trainer.train_drqn(source_task, &mut rng).unwrap();
+        let limited = limited_training_task(target_task, target_cycles).unwrap();
+        let mut target_agent = DqnAgent::new(
+            DrqnQNetwork::new(target_task.cells(), trainer.config().hidden, &mut rng).unwrap(),
+            Box::new(Adam::new(trainer.config().learning_rate)),
+            trainer.config().dqn,
+        )
+        .unwrap();
+        target_agent.import_params(&source_agent.export_params());
+        let agent = trainer
+            .train_agent(&limited, target_agent, &mut rng)
+            .unwrap();
+
+        let mut rows = Vec::new();
+        let mut run = |policy: &mut dyn CellSelectionPolicy, rng: &mut StdRng| {
+            rows.push(Fig7Row::from_report(&runner.run(policy, rng).unwrap()));
+        };
+        let mut transfer = DrCellPolicy::new(agent, k).with_name("TRANSFER");
+        run(&mut transfer, &mut StdRng::seed_from_u64(seed));
+        let mut no_transfer = DrCellPolicy::new(source_agent, k).with_name("NO-TRANSFER");
+        run(&mut no_transfer, &mut StdRng::seed_from_u64(seed));
+        let mut rng = StdRng::seed_from_u64(seed);
+        let agent = short_train(trainer, target_task, target_cycles, &mut rng).unwrap();
+        run(
+            &mut DrCellPolicy::new(agent, k).with_name("SHORT-TRAIN"),
+            &mut rng,
+        );
+        run(&mut RandomPolicy::new(), &mut StdRng::seed_from_u64(seed));
+        rows
+    }
+
+    /// Row text plus the exact bits of the values the text rounds.
+    fn fig6_bits(rows: &[Fig6Row]) -> Vec<(String, u64, u64)> {
+        let bits = |r: &Fig6Row| (r.row(), r.mean_cells.to_bits(), r.within_epsilon.to_bits());
+        rows.iter().map(bits).collect()
+    }
+
+    fn fig7_bits(rows: &[Fig7Row]) -> Vec<(String, u64, u64)> {
+        let bits = |r: &Fig7Row| (r.row(), r.mean_cells.to_bits(), r.within_epsilon.to_bits());
+        rows.iter().map(bits).collect()
+    }
+
+    #[test]
+    fn fig6_rows_are_identical_at_any_worker_count() {
+        use drcell_pool::budget::{reserve_outer, total_budget};
+        let (task, trainer, runner) = (small_task("small", 3), fast_trainer(), fast_runner());
+        let ps = [0.9, 0.95];
+        let fanned = fig6(&task, &ps, &trainer, &runner, 4).unwrap();
+        let one_worker = {
+            // Claiming every thread resolves the fan-out to one worker.
+            let _claim = reserve_outer(total_budget() * 64);
+            fig6(&task, &ps, &trainer, &runner, 4).unwrap()
+        };
+        let serial = fig6_serial(&task, &ps, &trainer, &runner, 4);
+        assert_eq!(fig6_bits(&fanned), fig6_bits(&serial));
+        assert_eq!(fig6_bits(&one_worker), fig6_bits(&serial));
+    }
+
+    #[test]
+    fn fig7_rows_are_identical_at_any_worker_count() {
+        use drcell_pool::budget::{reserve_outer, total_budget};
+        let (src, tgt) = (small_task("source", 3), small_task("target", 4));
+        let (trainer, runner) = (fast_trainer(), fast_runner());
+        let fanned = fig7(&src, &tgt, 10, &trainer, &runner, 5).unwrap();
+        let one_worker = {
+            let _claim = reserve_outer(total_budget() * 64);
+            fig7(&src, &tgt, 10, &trainer, &runner, 5).unwrap()
+        };
+        let serial = fig7_serial(&src, &tgt, 10, &trainer, &runner, 5);
+        assert_eq!(fig7_bits(&fanned), fig7_bits(&serial));
+        assert_eq!(fig7_bits(&one_worker), fig7_bits(&serial));
     }
 
     #[test]

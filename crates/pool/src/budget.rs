@@ -118,6 +118,25 @@ mod tests {
     }
 
     #[test]
+    fn units_reserve_their_workers_and_come_back_in_order() {
+        let _guard = LOCK.lock().unwrap();
+        let budget = total_budget();
+        let shares = crate::Pool::new(2)
+            .try_run_units(5, |i| Ok::<_, ()>((i, inner_share())))
+            .unwrap();
+        assert_eq!(
+            shares.iter().map(|&(i, _)| i).collect::<Vec<_>>(),
+            [0, 1, 2, 3, 4]
+        );
+        assert!(shares.iter().all(|&(_, s)| s == (budget / 2).max(1)));
+        assert_eq!(outer_claim(), 1, "the reservation ends with the call");
+
+        let failed =
+            crate::Pool::new(2).try_run_units(9, |i| if i % 4 == 3 { Err(i) } else { Ok(i) });
+        assert_eq!(failed, Err(3));
+    }
+
+    #[test]
     fn share_never_hits_zero() {
         let _guard = LOCK.lock().unwrap();
         let _outer = reserve_outer(total_budget() * 64);

@@ -18,11 +18,17 @@
 //! 3. **Serial degeneration.** One worker (or one slot) runs the closure
 //!    inline on the calling thread — no spawn, no atomics — so `threads=1`
 //!    is exactly the serial code path, not a pool with one thread.
+//! 4. **The calling thread is worker 0.** A run with `n > 1` workers
+//!    spawns `n − 1` scoped threads and works the index range on the
+//!    calling thread too, so a fan-out costs one spawn fewer and worker 0
+//!    allocates from the caller's malloc arena.
 //!
 //! The [`budget`] module coordinates nested parallelism process-wide: an
 //! outer scenario sweep reserves its worker count, and every auto-sized
 //! ([`Pool::auto`]) inner pool resolves to the remaining share, so
 //! `outer × inner` never exceeds the budget (by default, the hardware).
+//! [`Pool::try_run_units`] is the pool-shaped outer fan-out: it reserves
+//! its own workers, so the pools inside each unit take the remainder.
 //!
 //! ```
 //! use drcell_pool::Pool;
@@ -115,10 +121,10 @@ impl Pool {
     /// `slot_i = &mut out[i·slot_len .. min((i+1)·slot_len, out.len())]`.
     ///
     /// Each worker gets its own scratch from `make_scratch`; the scratches
-    /// are returned (in worker order) so callers can merge per-worker
-    /// accumulators. Outputs are deterministic at any thread count because
-    /// every slot is written by exactly one invocation and nothing else is
-    /// shared mutably.
+    /// are returned (in worker order, the calling thread's first) so
+    /// callers can merge per-worker accumulators. Outputs are deterministic
+    /// at any thread count because every slot is written by exactly one
+    /// invocation and nothing else is shared mutably.
     ///
     /// # Panics
     ///
@@ -151,6 +157,17 @@ impl Pool {
     /// returns the error of the **lowest-indexed** failing slot, so the
     /// reported failure is deterministic at any thread count. On error the
     /// contents of `out` are unspecified.
+    ///
+    /// The calling thread is worker 0: with `n` workers, `n − 1` scoped
+    /// threads are spawned and the caller claims slots alongside them, so
+    /// `f` and `make_scratch` run on the caller's thread at any worker
+    /// count. A caller must therefore not hold a thread-local `RefCell`
+    /// borrow across the call that `f` could borrow again; it would
+    /// panic with `BorrowMutError` instead of seeing a fresh thread's
+    /// local. The only such cell in the workspace is GEMM's shared
+    /// per-thread workspace, which `gemm_into_pool` holds across its
+    /// fan-out: its slot closure packs into the per-worker scratch and
+    /// never touches the shared one.
     ///
     /// # Errors
     ///
@@ -200,49 +217,51 @@ impl Pool {
         let first_err_at = AtomicUsize::new(usize::MAX);
         let slots_ref = SlotWriter::new(out, slot_len);
 
-        // Per worker: the errors it hit (with their slot indices) and its
-        // scratch, collected after the scope joins.
-        type WorkerOutcome<S, E> = Option<(Vec<(usize, E)>, S)>;
-        let mut results: Vec<WorkerOutcome<S, E>> = (0..workers).map(|_| None).collect();
-        std::thread::scope(|scope| {
-            for result in results.iter_mut() {
-                let cursor = &cursor;
-                let first_err_at = &first_err_at;
-                let slots_ref = &slots_ref;
-                let make_scratch = &make_scratch;
-                let f = &f;
-                scope.spawn(move || {
-                    let mut scratch = make_scratch();
-                    let mut errors: Vec<(usize, E)> = Vec::new();
-                    loop {
-                        let start = cursor.fetch_add(chunk, Ordering::Relaxed);
-                        if start >= slots || start > first_err_at.load(Ordering::Relaxed) {
-                            break;
-                        }
-                        for i in start..(start + chunk).min(slots) {
-                            if i > first_err_at.load(Ordering::Relaxed) {
-                                break;
-                            }
-                            // Safety: `i` is claimed by exactly one worker
-                            // (the cursor hands out disjoint ranges), so the
-                            // slot is exclusively ours.
-                            let slot = unsafe { slots_ref.slot(i) };
-                            if let Err(e) = f(i, slot, &mut scratch) {
-                                errors.push((i, e));
-                                first_err_at.fetch_min(i, Ordering::Relaxed);
-                                break;
-                            }
-                        }
+        // One worker's loop: its scratch, then chunks until the range (or
+        // an error) runs out. Returns the errors it hit, with their slot
+        // indices, and its scratch.
+        let worker = || {
+            let mut scratch = make_scratch();
+            let mut errors: Vec<(usize, E)> = Vec::new();
+            loop {
+                let start = cursor.fetch_add(chunk, Ordering::Relaxed);
+                if start >= slots || start > first_err_at.load(Ordering::Relaxed) {
+                    break;
+                }
+                for i in start..(start + chunk).min(slots) {
+                    if i > first_err_at.load(Ordering::Relaxed) {
+                        break;
                     }
-                    *result = Some((errors, scratch));
-                });
+                    // Safety: `i` is claimed by exactly one worker (the
+                    // cursor hands out disjoint ranges), so the slot is
+                    // exclusively ours.
+                    let slot = unsafe { slots_ref.slot(i) };
+                    if let Err(e) = f(i, slot, &mut scratch) {
+                        errors.push((i, e));
+                        first_err_at.fetch_min(i, Ordering::Relaxed);
+                        break;
+                    }
+                }
             }
+            (errors, scratch)
+        };
+        // The calling thread is worker 0; only `workers − 1` threads spawn.
+        let outcomes = std::thread::scope(|scope| {
+            let spawned: Vec<_> = (1..workers).map(|_| scope.spawn(worker)).collect();
+            let mut outcomes = Vec::with_capacity(workers);
+            outcomes.push(worker());
+            for handle in spawned {
+                match handle.join() {
+                    Ok(outcome) => outcomes.push(outcome),
+                    Err(panic) => std::panic::resume_unwind(panic),
+                }
+            }
+            outcomes
         });
 
         let mut scratches = Vec::with_capacity(workers);
         let mut first_error: Option<(usize, E)> = None;
-        for slot in results {
-            let (errors, scratch) = slot.expect("worker completed");
+        for (errors, scratch) in outcomes {
             for (i, e) in errors {
                 if first_error.as_ref().is_none_or(|(j, _)| i < *j) {
                     first_error = Some((i, e));
@@ -254,6 +273,47 @@ impl Pool {
             Some((_, e)) => Err(e),
             None => Ok(scratches),
         }
+    }
+
+    /// Runs `f(i)` for every unit `i` in `0..units` as **outer**
+    /// parallelism and returns the results in index order.
+    ///
+    /// The worker count resolves as in [`Pool::run_slots`] and is then
+    /// reserved with [`budget::reserve_outer`] for the whole call, so every
+    /// auto-sized pool inside a unit resolves to the remaining share
+    /// (serial when the units take every thread). Units run on the pool's
+    /// workers, the calling thread among them. Results are deterministic at
+    /// any thread count as long as each unit depends only on its index.
+    ///
+    /// # Errors
+    ///
+    /// The error of the lowest-indexed failing unit.
+    ///
+    /// # Panics
+    ///
+    /// Propagates panics from `f`.
+    pub fn try_run_units<R, E, F>(&self, units: usize, f: F) -> Result<Vec<R>, E>
+    where
+        R: Send,
+        E: Send,
+        F: Fn(usize) -> Result<R, E> + Sync,
+    {
+        let workers = self.workers_for(units);
+        let _outer = budget::reserve_outer(workers);
+        let mut out: Vec<Option<R>> = (0..units).map(|_| None).collect();
+        Pool::new(workers).try_run_slots(
+            &mut out,
+            1,
+            || (),
+            |i, slot, _| {
+                slot[0] = Some(f(i)?);
+                Ok(())
+            },
+        )?;
+        Ok(out
+            .into_iter()
+            .map(|r| r.expect("every unit ran"))
+            .collect())
     }
 }
 
@@ -350,6 +410,33 @@ mod tests {
         let scratches = Pool::serial().run_slots(&mut out, 1, || 0usize, |_, _, c| *c += 1);
         assert_eq!(scratches.len(), 1);
         assert_eq!(scratches[0], 64);
+    }
+
+    #[test]
+    fn calling_thread_is_worker_zero() {
+        use std::thread;
+        use std::time::Duration;
+        let caller = thread::current().id();
+        let mut ran_on = vec![None; 24];
+        let scratches = Pool::new(3).run_slots(
+            &mut ran_on,
+            1,
+            || (thread::current().id(), 0usize),
+            |_, slot, (_, count)| {
+                // Slow enough slots that no worker drains the range alone.
+                thread::sleep(Duration::from_millis(1));
+                slot[0] = Some(thread::current().id());
+                *count += 1;
+            },
+        );
+        assert!(
+            ran_on.contains(&Some(caller)),
+            "no slot ran on the calling thread"
+        );
+        assert_eq!(scratches.len(), 3, "one scratch per worker");
+        assert_eq!(scratches[0].0, caller, "the caller's scratch comes first");
+        assert!(scratches[1..].iter().all(|(id, _)| *id != caller));
+        assert_eq!(scratches.iter().map(|(_, c)| c).sum::<usize>(), 24);
     }
 
     #[test]
